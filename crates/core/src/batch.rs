@@ -21,7 +21,8 @@
 /// `f` must be a pure function of the query and shared immutable state
 /// (all pipeline `search_*` methods qualify: they take `&self`). Batches
 /// of one — and machines reporting a single core — run inline without
-/// spawning.
+/// spawning; otherwise the first chunk runs on the calling thread and
+/// each further chunk on a scoped thread.
 pub fn run_batch<Q, R, F>(queries: &[Q], f: F) -> Vec<R>
 where
     Q: Sync,
@@ -39,21 +40,28 @@ where
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
+    let fill = |slot: &mut [Option<R>], qchunk: &[Q]| {
+        for (s, q) in slot.iter_mut().zip(qchunk) {
+            *s = Some(f(q));
+        }
+    };
     std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        for qchunk in queries.chunks(chunk) {
+        let (first_slot, mut rest) = out.split_at_mut(chunk);
+        let mut chunks = queries.chunks(chunk);
+        let first = chunks.next().unwrap_or_default();
+        for qchunk in chunks {
             let (slot, tail) = rest.split_at_mut(qchunk.len());
             rest = tail;
-            let f = &f;
-            // One worker per contiguous chunk; workers only touch their
-            // own output slots, and the scope joins them all before `out`
-            // is read.
-            scope.spawn(move || {
-                for (s, q) in slot.iter_mut().zip(qchunk) {
-                    *s = Some(f(q));
-                }
-            });
+            let fill = &fill;
+            // One worker per further contiguous chunk; workers only touch
+            // their own output slots, and the scope joins them all before
+            // `out` is read.
+            scope.spawn(move || fill(slot, qchunk));
         }
+        // The first chunk runs on the calling thread, so thread-local
+        // state the caller set up (an attached request trace) sees the
+        // first query's work.
+        fill(first_slot, first);
     });
     let results: Vec<R> = out.into_iter().flatten().collect();
     debug_assert_eq!(results.len(), n, "every slot is filled before join");
@@ -70,6 +78,16 @@ mod tests {
         let got = run_batch(&queries, |&q| q * q);
         let want: Vec<u64> = queries.iter().map(|&q| q * q).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn first_query_runs_on_the_calling_thread() {
+        // Thread-local state the caller attached (a request trace) must
+        // see the first query's work, whatever the core count.
+        let caller = std::thread::current().id();
+        let queries: Vec<u32> = (0..16).collect();
+        let got = run_batch(&queries, |_| std::thread::current().id());
+        assert_eq!(got[0], caller);
     }
 
     #[test]

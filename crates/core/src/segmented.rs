@@ -190,7 +190,8 @@ impl SegmentedPipeline {
     }
 
     /// The searchable pipeline for the current live tables, cached until
-    /// the next write.
+    /// the next write. Each assembly (a cache miss) adds one to the
+    /// `pipeline.snapshot.builds` counter.
     ///
     /// # Panics
     ///
@@ -212,6 +213,7 @@ impl SegmentedPipeline {
             &refs,
             &self.tombstones,
         ));
+        td_obs::global().counter("pipeline.snapshot.builds").inc();
         *slot = Some(Arc::clone(&built));
         built
     }

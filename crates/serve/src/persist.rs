@@ -13,8 +13,10 @@
 //! 3. `Server::start_durable` wires both together: queries run against
 //!    the merged snapshot, while the persist-plane requests
 //!    (`IngestTable`, `DropTable`, `Snapshot`) mutate the durable
-//!    pipeline — every mutation WAL-logged before it is applied — and
-//!    stage fresh serving snapshots for the next `Reload`.
+//!    pipeline — every mutation WAL-logged before it is applied and
+//!    synced before it is acknowledged. Mutations stage lazily: the next
+//!    `Reload` calls [`serving_snapshot`] once, however many mutations
+//!    came before it.
 //!
 //! The store sits *below* serve in the crate layering: this module is
 //! glue, not format logic. Format, checksums, and recovery semantics

@@ -105,8 +105,9 @@ pub enum Request {
         k: usize,
     },
     /// Administrative hot swap: atomically promote the staged pipeline
-    /// (see `Server::stage_pipeline`) to serving, bump the epoch, and
-    /// flush the result cache. With nothing staged it still bumps the
+    /// (see `Server::stage_pipeline`; on a durable server, the durable
+    /// state staged by persist-plane mutations, assembled here) to
+    /// serving, bump the epoch, and flush the result cache. With nothing staged it still bumps the
     /// epoch and flushes — a cache-invalidation barrier. Answered inline
     /// (never queued); in-flight queries finish on the pipeline they were
     /// admitted with.
@@ -128,10 +129,10 @@ pub enum Request {
     /// counts, queue depth, in-flight count, drain state. Answered
     /// inline, never queued (health checks must not flap under load).
     Health,
-    /// Persist plane: extract, WAL-log, and apply one table into the
-    /// durable pipeline, then stage a fresh serving pipeline for the
-    /// next [`Request::Reload`]. Queries keep running against the
-    /// current epoch until the reload promotes the staged build.
+    /// Persist plane: extract, WAL-log, apply, and sync one table into
+    /// the durable pipeline, staging the durable state for the next
+    /// [`Request::Reload`], which assembles it into a serving pipeline.
+    /// Queries keep running against the current epoch until then.
     /// Answered inline; requires a server started with persistence
     /// (`Server::start_durable`).
     IngestTable {
@@ -140,8 +141,9 @@ pub enum Request {
         /// The table itself; extraction happens server-side, once.
         table: Table,
     },
-    /// Persist plane: WAL-log and apply a table drop, then stage a
-    /// fresh serving pipeline. Answered inline; requires persistence.
+    /// Persist plane: WAL-log, apply, and sync a table drop, staging the
+    /// durable state like `IngestTable`. Answered inline; requires
+    /// persistence.
     DropTable {
         /// Table id to drop (tombstoned until compaction).
         id: TableId,
@@ -467,8 +469,8 @@ pub struct IngestReply {
     pub tables: u64,
     /// WAL records accumulated since the last checkpoint.
     pub wal_records: u64,
-    /// True when a fresh serving pipeline was staged for the next
-    /// [`Request::Reload`].
+    /// True when the durable state was staged for the next
+    /// [`Request::Reload`] to assemble and promote.
     pub staged: bool,
 }
 
@@ -479,8 +481,8 @@ pub struct DropReply {
     pub existed: bool,
     /// WAL records accumulated since the last checkpoint.
     pub wal_records: u64,
-    /// True when a fresh serving pipeline was staged for the next
-    /// [`Request::Reload`].
+    /// True when the durable state was staged for the next
+    /// [`Request::Reload`] to assemble and promote.
     pub staged: bool,
 }
 

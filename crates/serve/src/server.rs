@@ -22,11 +22,14 @@
 //!
 //! The serving pipeline lives in an epoch-versioned slot
 //! (`Mutex<PipelineSlot>`). [`Server::stage_pipeline`] parks a
-//! replacement; a [`Request::Reload`] promotes it, bumps the epoch, and
-//! flushes the result cache. Cache keys are prefixed with the epoch and
-//! each job captures its pipeline `Arc` at admission, so in-flight
-//! queries finish on the pipeline they started with and no pre-swap
-//! cache entry can answer a post-swap request.
+//! replacement, and a persist-plane mutation marks the durable state as
+//! staged without building anything; a [`Request::Reload`] promotes
+//! what is staged (assembling the durable state into a pipeline at that
+//! point, once), bumps the epoch, and flushes the result cache. Cache
+//! keys are prefixed with the epoch and each job captures its pipeline
+//! `Arc` at admission, so in-flight queries finish on the pipeline they
+//! started with and no pre-swap cache entry can answer a post-swap
+//! request.
 //!
 //! Responses are written under a per-connection mutex, so workers and
 //! the connection thread can interleave replies safely; clients match
@@ -143,6 +146,18 @@ struct PipelineSlot {
     pipeline: Arc<DiscoveryPipeline>,
 }
 
+/// What the next [`Request::Reload`] promotes. The last writer wins: a
+/// [`Server::stage_pipeline`] call replaces a pending durable marker and
+/// a persist-plane mutation replaces a pending explicit pipeline.
+enum Staged {
+    /// Nothing: a `Reload` bumps the epoch over the serving pipeline.
+    Nothing,
+    /// A pipeline handed to [`Server::stage_pipeline`].
+    Pipeline(Arc<DiscoveryPipeline>),
+    /// The durable pipeline's current state; the `Reload` assembles it.
+    Durable,
+}
+
 /// Registry handles held for the server's lifetime (hot paths must not
 /// re-resolve metric names).
 struct Metrics {
@@ -194,9 +209,9 @@ impl Metrics {
 
 struct Shared {
     slot: Mutex<PipelineSlot>,
-    /// Pipeline prepared offline (e.g. by a `SegmentedPipeline` snapshot)
-    /// waiting for a `Reload` to promote it.
-    staged: Mutex<Option<Arc<DiscoveryPipeline>>>,
+    /// What the next `Reload` promotes. Lock order: `persist` → `staged`
+    /// → `slot`.
+    staged: Mutex<Staged>,
     queue: AdmissionQueue<Job>,
     cache: ResultCache<Reply>,
     shutting_down: AtomicBool,
@@ -606,15 +621,18 @@ fn answer_admin(shared: &Shared, req: &Request) -> Reply {
 }
 
 /// Answer one persist-plane request against the durable pipeline.
-/// Mutations (`IngestTable`, `DropTable`) are WAL-logged before they are
-/// applied, then a fresh serving pipeline is staged for the next
-/// [`Request::Reload`] — queries keep running against the current epoch
-/// until the operator promotes it. `Snapshot` folds the WAL into a new
-/// checkpoint file without touching the epoch slot at all.
+/// Mutations (`IngestTable`, `DropTable`) are WAL-logged, applied, and
+/// synced to stable storage before they are acknowledged; each costs
+/// O(table). They stage lazily: the reply says `staged: true`, but the
+/// only thing staged is a marker, and the next [`Request::Reload`]
+/// assembles the serving pipeline from the durable state — once, however
+/// many mutations came before it. Queries keep running against the
+/// current epoch until then. `Snapshot` folds the WAL into a new
+/// checkpoint file without touching the staged marker or the epoch slot.
 ///
-/// A persistence I/O failure answers `Status::Internal` and leaves the
-/// logical state unchanged (the WAL append happens first, so a failed
-/// append means nothing was applied).
+/// A persistence I/O failure answers `Status::Internal`. A failed append
+/// leaves the logical state unchanged (nothing was applied); a failed
+/// sync leaves the mutation applied and staged but unacknowledged.
 fn answer_persist(shared: &Shared, id: u64, req: &Request) -> ResponseEnvelope {
     let Some(persist) = shared.persist.as_ref() else {
         return ResponseEnvelope::fail(
@@ -624,58 +642,61 @@ fn answer_persist(shared: &Shared, id: u64, req: &Request) -> ResponseEnvelope {
         );
     };
     let mut durable = relock(persist.lock());
-    match req {
+    let applied = match req {
         Request::IngestTable {
             id: table_id,
             table,
         } => {
             // td-lint: allow(TD008) the persist mutex exists to serialize WAL append + apply; doing the mutation under it is the point
-            match durable.ingest_table(*table_id, table) {
-                Ok(()) => {
-                    // td-lint: allow(TD008) staging reads the durable pipeline, so it must happen under the persist mutex; the staged slot is held for one pointer swap
-                    *relock(shared.staged.lock()) = Some(serving_snapshot(&durable));
-                    ResponseEnvelope::ok(
-                        id,
-                        Reply::Ingested(IngestReply {
-                            tables: durable.pipeline().len() as u64,
-                            wal_records: durable.wal_records(),
-                            staged: true,
-                        }),
-                    )
-                }
-                Err(e) => ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
-            }
+            let result = durable.ingest_table(*table_id, table);
+            result.map(|()| {
+                Reply::Ingested(IngestReply {
+                    tables: durable.pipeline().len() as u64,
+                    wal_records: durable.wal_records(),
+                    staged: true,
+                })
+            })
         }
-        // td-lint: allow(TD008) drop is WAL-logged under the persist mutex by design, same as ingest above
-        Request::DropTable { id: table_id } => match durable.drop_table(*table_id) {
-            Ok(existed) => {
-                // td-lint: allow(TD008) staging reads the durable pipeline, so it must happen under the persist mutex; the staged slot is held for one pointer swap
-                *relock(shared.staged.lock()) = Some(serving_snapshot(&durable));
-                ResponseEnvelope::ok(
-                    id,
-                    Reply::Dropped(DropReply {
-                        existed,
-                        wal_records: durable.wal_records(),
-                        staged: true,
-                    }),
-                )
-            }
-            Err(e) => ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
-        },
+        Request::DropTable { id: table_id } => {
+            // td-lint: allow(TD008) drop is WAL-logged under the persist mutex by design, same as ingest above
+            let result = durable.drop_table(*table_id);
+            result.map(|existed| {
+                Reply::Dropped(DropReply {
+                    existed,
+                    wal_records: durable.wal_records(),
+                    staged: true,
+                })
+            })
+        }
         // `answer_persist` is guarded by `Request::is_persist`, so the
         // remaining persist variant is `Snapshot`.
-        // td-lint: allow(TD008) folding the WAL into a checkpoint must exclude concurrent mutations; the persist mutex is that exclusion
-        _ => match durable.checkpoint() {
-            Ok(cp) => ResponseEnvelope::ok(
-                id,
-                Reply::Snapshotted(SnapshotReply {
-                    seq: cp.snapshot_seq,
-                    bytes: cp.snapshot_bytes,
-                    wal_records_folded: cp.wal_records_folded,
-                }),
-            ),
-            Err(e) => ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
-        },
+        _ => {
+            // td-lint: allow(TD008) folding the WAL into a checkpoint must exclude concurrent mutations; the persist mutex is that exclusion
+            return match durable.checkpoint() {
+                Ok(cp) => ResponseEnvelope::ok(
+                    id,
+                    Reply::Snapshotted(SnapshotReply {
+                        seq: cp.snapshot_seq,
+                        bytes: cp.snapshot_bytes,
+                        wal_records_folded: cp.wal_records_folded,
+                    }),
+                ),
+                Err(e) => ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
+            };
+        }
+    };
+    let reply = match applied {
+        Ok(reply) => reply,
+        Err(e) => return ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
+    };
+    // The durable state changed: the next `Reload` must assemble it,
+    // whether or not the sync below succeeds.
+    // td-lint: allow(TD008) lock order persist → staged: a marker set under the persist mutex cannot be missed by a Reload that builds after this mutation; the staged lock is held for one store
+    *relock(shared.staged.lock()) = Staged::Durable;
+    // td-lint: allow(TD008) the sync must cover exactly the records appended under this mutex, and "acknowledged" must mean durable
+    match durable.sync() {
+        Ok(()) => ResponseEnvelope::ok(id, reply),
+        Err(e) => ResponseEnvelope::fail(id, Status::Internal, e.to_string()),
     }
 }
 
@@ -716,9 +737,11 @@ impl Server {
     /// Start a server whose state is backed by a td-store directory: the
     /// initial serving pipeline is merged from the (restored) durable
     /// pipeline, and the persist plane ([`Request::IngestTable`],
-    /// [`Request::DropTable`], [`Request::Snapshot`]) is enabled —
-    /// mutations are WAL-logged before they apply and stage fresh
-    /// serving pipelines for the next [`Request::Reload`].
+    /// [`Request::DropTable`], [`Request::Snapshot`]) is enabled.
+    /// Mutations are WAL-logged, applied and synced before they are
+    /// acknowledged, and stage lazily: the next [`Request::Reload`]
+    /// assembles the durable state into a fresh serving pipeline, once
+    /// per reload rather than once per mutation.
     ///
     /// Restore-aware boot is `crate::persist::boot` + this:
     ///
@@ -753,7 +776,7 @@ impl Server {
             .then(|| TraceLayer::new(cfg.trace.clone(), worker_count));
         let shared = Arc::new(Shared {
             slot: Mutex::new(PipelineSlot { epoch: 0, pipeline }),
-            staged: Mutex::new(None),
+            staged: Mutex::new(Staged::Nothing),
             queue: AdmissionQueue::new(cfg.queue_capacity),
             cache: ResultCache::new(cfg.cache),
             shutting_down: AtomicBool::new(false),
@@ -802,10 +825,13 @@ impl Server {
 
     /// Stage a pipeline for the next [`Request::Reload`]. Staging is
     /// side-effect free: queries keep running against the current epoch
-    /// until a `Reload` promotes the staged pipeline. Staging again
-    /// before a reload replaces the previously staged pipeline.
+    /// until a `Reload` promotes the staged pipeline. The last writer
+    /// wins: staging again before a reload replaces the previously staged
+    /// pipeline, a staged pipeline replaces durable state staged by
+    /// earlier persist-plane mutations, and a later mutation replaces the
+    /// staged pipeline (that `Reload` then assembles the durable state).
     pub fn stage_pipeline(&self, pipeline: Arc<DiscoveryPipeline>) {
-        *relock(self.shared.staged.lock()) = Some(pipeline);
+        *relock(self.shared.staged.lock()) = Staged::Pipeline(pipeline);
     }
 
     /// The pipeline epoch currently serving (starts at 0, bumped by every
@@ -1016,7 +1042,7 @@ fn handle_frame(payload: &[u8], shared: &Arc<Shared>, out: &Arc<Mutex<TcpStream>
         }
     }
 
-    // Hot swap, answered inline: promote the staged pipeline (if any),
+    // Hot swap, answered inline: promote what is staged (if anything),
     // bump the epoch, flush the cache. Ordering matters — the epoch/
     // pipeline move under the slot lock first, the flush second: a racing
     // query either carries the old epoch (its stale cache fill is keyed
@@ -1024,15 +1050,25 @@ fn handle_frame(payload: &[u8], shared: &Arc<Shared>, out: &Arc<Mutex<TcpStream>
     // one (it executes against the new pipeline).
     if matches!(env.req, Request::Reload) {
         let t = Timer::start();
-        let staged = relock(shared.staged.lock()).take();
-        let epoch = {
-            let mut slot = relock(shared.slot.lock());
-            if let Some(p) = staged {
-                slot.pipeline = p;
-            }
-            slot.epoch += 1;
-            slot.epoch
+        let staged = std::mem::replace(&mut *relock(shared.staged.lock()), Staged::Nothing);
+        let incoming = match staged {
+            Staged::Nothing => None,
+            Staged::Pipeline(p) => Some(p),
+            Staged::Durable => shared.persist.as_ref().map(|persist| {
+                let durable = relock(persist.lock());
+                // td-lint: allow(TD008) assembling reads the durable pipeline, so it must exclude mutations; it runs once per Reload, and query workers never take the persist mutex
+                serving_snapshot(&durable)
+            }),
         };
+        let (epoch, retired) = {
+            let mut slot = relock(shared.slot.lock());
+            let retired = incoming.map(|p| std::mem::replace(&mut slot.pipeline, p));
+            slot.epoch += 1;
+            (slot.epoch, retired)
+        };
+        // The retired pipeline may be the last reference to a whole index
+        // set; free it outside the slot lock every query's epoch read takes.
+        drop(retired);
         shared.cache.clear();
         td_obs::global()
             .gauge("serve.pipeline.epoch")
@@ -1256,10 +1292,12 @@ fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
         let replies = {
             // Only the primary job's trace attaches for the shared
             // execution — a thread carries at most one trace, so the
-            // per-component probe spans nest under the primary. The
-            // coalesced extras still record their own `execute` window
-            // plus a `probe.batched` marker so their trees stay
-            // well-formed, and every job gets its own finish below.
+            // per-component probe spans of the batch's first chunk (which
+            // `run_batch` runs on this thread, the primary included) nest
+            // under the primary. The coalesced extras still record their
+            // own `execute` window plus a `probe.batched` marker so their
+            // trees stay well-formed, and every job gets its own finish
+            // below.
             let _attached = batch[0].trace.as_ref().map(td_obs::trace::attach);
             let _execs: Vec<_> = batch
                 .iter()

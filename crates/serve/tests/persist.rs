@@ -1,16 +1,18 @@
 //! The persist plane end-to-end: a server started from a td-store
-//! directory ingests over the wire (WAL-logged), promotes staged
-//! pipelines via `Reload`, checkpoints via `Snapshot`, and — after a
-//! full process "restart" (drop the server, boot from the same
+//! directory ingests over the wire (WAL-logged), promotes the staged
+//! durable state via `Reload` — assembling it once per reload, however
+//! many mutations came before — checkpoints via `Snapshot`, and — after
+//! a full process "restart" (drop the server, boot from the same
 //! directory) — serves responses byte-identical to a one-shot batch
 //! build over the same live tables.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use td_core::segment::PipelineContext;
-use td_core::{DiscoveryPipeline, PipelineConfig};
+use td_core::{DiscoveryPipeline, PipelineConfig, PipelineSegment, SegmentView};
 use td_serve::{
     boot, encode_response, execute, Client, Reply, Request, RequestEnvelope, ResponseEnvelope,
     Server, ServerConfig, Status,
@@ -54,6 +56,63 @@ fn scratch() -> PathBuf {
     dir
 }
 
+/// Serializes the tests of this file that run a durable server: they
+/// read deltas of the process-wide `pipeline.snapshot.builds` counter,
+/// which the others would move.
+fn durable_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Serving pipelines assembled from segmented state so far (a durable
+/// server assembles one at boot and one per `Reload` of staged state).
+fn builds() -> u64 {
+    td_obs::global().counter("pipeline.snapshot.builds").get()
+}
+
+/// One-shot oracle over the fixture tables at `live`: a single
+/// `PipelineSegment::build` merged by `from_segments`.
+fn oracle(fx: &Fixture, live: &[usize]) -> DiscoveryPipeline {
+    let view = SegmentView::new(
+        live.iter()
+            .map(|&i| (fx.tables[i].0, &fx.tables[i].1))
+            .collect(),
+    );
+    let seg = PipelineSegment::build(&view, &fx.ctx);
+    DiscoveryPipeline::from_segments(&fx.ctx, &[&seg], &BTreeSet::new())
+}
+
+fn ingest(client: &mut Client, id: u64, fx: &Fixture, i: usize) {
+    let resp = client
+        .call(&env(
+            id,
+            Request::IngestTable {
+                id: fx.tables[i].0,
+                table: fx.tables[i].1.clone(),
+            },
+        ))
+        .expect("ingest");
+    assert_eq!(resp.status, Status::Ok);
+}
+
+fn drop_table(client: &mut Client, id: u64, fx: &Fixture, i: usize) {
+    let resp = client
+        .call(&env(id, Request::DropTable { id: fx.tables[i].0 }))
+        .expect("drop");
+    assert_eq!(resp.status, Status::Ok);
+}
+
+fn reload(client: &mut Client, id: u64) -> u64 {
+    match client
+        .call(&env(id, Request::Reload))
+        .expect("reload")
+        .reply
+    {
+        Some(Reply::Reloaded(epoch)) => epoch,
+        other => panic!("unexpected reload reply {other:?}"),
+    }
+}
+
 fn env(id: u64, req: Request) -> RequestEnvelope {
     RequestEnvelope {
         id,
@@ -95,13 +154,13 @@ fn probes(fx: &Fixture) -> Vec<Request> {
 }
 
 /// Every probe served over the wire must byte-match the direct
-/// in-process answer from the batch oracle.
-fn assert_serves_batch(client: &mut Client, fx: &Fixture) {
+/// in-process answer from `oracle`.
+fn assert_serves(client: &mut Client, fx: &Fixture, oracle: &DiscoveryPipeline) {
     for (i, req) in probes(fx).into_iter().enumerate() {
         let id = 7000 + i as u64;
         let served = client.call_raw(&env(id, req.clone())).expect("probe");
         let direct =
-            encode_response(&ResponseEnvelope::ok(id, execute(&fx.batch, &req))).expect("encode");
+            encode_response(&ResponseEnvelope::ok(id, execute(oracle, &req))).expect("encode");
         assert_eq!(
             served,
             direct,
@@ -116,6 +175,7 @@ fn assert_serves_batch(client: &mut Client, fx: &Fixture) {
 /// identically to the batch build — without re-ingesting anything.
 #[test]
 fn durable_server_survives_restart_with_identical_answers() {
+    let _serial = durable_lock();
     let fx = fixture();
     let dir = scratch();
 
@@ -149,7 +209,7 @@ fn durable_server_survives_restart_with_identical_answers() {
     assert_eq!(server.epoch(), 0);
     let resp = client.call(&env(100, Request::Reload)).expect("reload");
     assert_eq!(resp.reply, Some(Reply::Reloaded(1)));
-    assert_serves_batch(&mut client, fx);
+    assert_serves(&mut client, fx, &fx.batch);
 
     // Checkpoint: the WAL (one record per ingest) folds into snapshot 1.
     let resp = client.call(&env(101, Request::Snapshot)).expect("snapshot");
@@ -170,7 +230,7 @@ fn durable_server_survives_restart_with_identical_answers() {
     assert_eq!(stats.wal_records_replayed, 0);
     let mut server = Server::start_durable(durable, ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert_serves_batch(&mut client, fx);
+    assert_serves(&mut client, fx, &fx.batch);
     drop(client);
     server.shutdown();
 
@@ -182,6 +242,7 @@ fn durable_server_survives_restart_with_identical_answers() {
 /// durable state and the next promoted serving pipeline.
 #[test]
 fn ingest_and_drop_go_through_the_epoch_slot() {
+    let _serial = durable_lock();
     let fx = fixture();
     let dir = scratch();
 
@@ -292,4 +353,106 @@ fn persist_requests_without_a_store_are_refused_cleanly() {
 
     drop(client);
     server.shutdown();
+}
+
+/// Mutations only mark the durable state as staged; the `Reload` that
+/// promotes it assembles one serving pipeline, however many ingests and
+/// drops came before it, and a `Reload` with nothing staged assembles
+/// none. The promoted pipeline answers byte-identically to a one-shot
+/// build over the live tables.
+#[test]
+fn reload_assembles_the_durable_state_once() {
+    let _serial = durable_lock();
+    let fx = fixture();
+    let dir = scratch();
+    let (durable, _) = boot(&dir, fx.ctx.clone()).expect("boot");
+    let mut server = Server::start_durable(durable, ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let n = fx.tables.len();
+
+    // Nothing staged: the reload is a cache barrier and builds nothing.
+    let before = builds();
+    assert_eq!(reload(&mut client, 1), 1);
+    assert_eq!(builds(), before, "a reload with nothing staged builds");
+
+    // Ten ingests, one reload, one build.
+    for i in 0..n {
+        ingest(&mut client, 10 + i as u64, fx, i);
+    }
+    assert_eq!(builds(), before, "a mutation built a serving pipeline");
+    assert_eq!(reload(&mut client, 2), 2);
+    assert_eq!(builds(), before + 1);
+    assert_serves(&mut client, fx, &fx.batch);
+
+    // k re-ingests and k drops, one reload, one build.
+    let k = 4;
+    for i in 0..k {
+        ingest(&mut client, 30 + i as u64, fx, i);
+    }
+    for i in n - k..n {
+        drop_table(&mut client, 40 + i as u64, fx, i);
+    }
+    assert_eq!(builds(), before + 1, "a mutation built a serving pipeline");
+    assert_eq!(reload(&mut client, 3), 3);
+    assert_eq!(builds(), before + 2);
+    let live: Vec<usize> = (0..n - k).collect();
+    assert_serves(&mut client, fx, &oracle(fx, &live));
+
+    // A checkpoint stages nothing, and neither does a second reload.
+    let resp = client.call(&env(4, Request::Snapshot)).expect("snapshot");
+    assert_eq!(resp.status, Status::Ok);
+    assert_eq!(reload(&mut client, 5), 4);
+    assert_eq!(builds(), before + 2);
+    assert_serves(&mut client, fx, &oracle(fx, &live));
+
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Between `Server::stage_pipeline` and persist-plane mutations, the
+/// last writer before a `Reload` decides what it promotes.
+#[test]
+fn last_staging_writer_wins() {
+    let _serial = durable_lock();
+    let fx = fixture();
+    let dir = scratch();
+    let (durable, _) = boot(&dir, fx.ctx.clone()).expect("boot");
+    let mut server = Server::start_durable(durable, ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let n = fx.tables.len();
+    for i in 0..n {
+        ingest(&mut client, i as u64, fx, i);
+    }
+    reload(&mut client, 20);
+    let explicit = Arc::new(oracle(fx, &[0, 1, 2]));
+
+    // stage_pipeline, then a drop: the reload assembles the durable state.
+    server.stage_pipeline(Arc::clone(&explicit));
+    drop_table(&mut client, 21, fx, n - 1);
+    let before = builds();
+    reload(&mut client, 22);
+    assert_eq!(builds(), before + 1);
+    let live: Vec<usize> = (0..n - 1).collect();
+    assert_serves(&mut client, fx, &oracle(fx, &live));
+
+    // A drop, then stage_pipeline: the reload promotes the explicit
+    // pipeline and assembles nothing.
+    drop_table(&mut client, 23, fx, n - 2);
+    server.stage_pipeline(Arc::clone(&explicit));
+    let before = builds();
+    reload(&mut client, 24);
+    assert_eq!(builds(), before);
+    assert_serves(&mut client, fx, &explicit);
+
+    // The durable state still holds the drop: the next mutation stages
+    // it again, and its reload serves it.
+    drop_table(&mut client, 25, fx, n - 3);
+    reload(&mut client, 26);
+    let live: Vec<usize> = (0..n - 3).collect();
+    assert_serves(&mut client, fx, &oracle(fx, &live));
+
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,10 +5,13 @@
 
 use std::sync::{Arc, OnceLock};
 
+use std::io::Write;
 use td_core::{DiscoveryPipeline, PipelineConfig};
+
 use td_serve::{
-    Client, Reply, Request, RequestEnvelope, Server, ServerConfig, SpanNodeJson, Status,
-    TraceConfig, TraceJson, Workload, WorkloadConfig,
+    decode_response, read_frame, write_frame, Client, Reply, Request, RequestEnvelope, Server,
+    ServerConfig, SpanNodeJson, Status, TraceConfig, TraceJson, Workload, WorkloadConfig,
+    MAX_BATCH, MAX_FRAME_BYTES,
 };
 use td_table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td_table::DataLake;
@@ -170,6 +173,96 @@ fn trace_ids_unique_and_trees_well_formed_under_load() {
         assert!(w[0].dur_ns >= w[1].dur_ns, "slow log must be ordered");
     }
     server.shutdown();
+}
+
+/// Send `reqs` in one write on one connection (so the server's
+/// connection thread admits them back to back) and read every reply.
+fn send_burst(server: &Server, reqs: &[Request]) {
+    let mut buf = Vec::new();
+    for (id, req) in reqs.iter().enumerate() {
+        let env = RequestEnvelope {
+            id: id as u64,
+            deadline_ms: 0,
+            req: req.clone(),
+        };
+        let payload = serde_json::to_string(&env).expect("encode").into_bytes();
+        write_frame(&mut buf, &payload).expect("frame");
+    }
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&buf).expect("send burst");
+    for _ in reqs {
+        let raw = read_frame(&mut stream, MAX_FRAME_BYTES)
+            .expect("reply")
+            .expect("connection open");
+        let resp = decode_response(&raw).expect("decode");
+        assert_eq!(resp.status, Status::Ok);
+    }
+}
+
+/// Coalescing keeps probe spans: one worker, busy with a large batch
+/// frame while a burst of same-family singles queues behind it, folds
+/// the burst into one batched execution. The primary of that execution
+/// (whose trace is attached to the worker) and the batch frame itself
+/// must record per-component `probe.*` spans, and each coalesced extra
+/// its `probe.batched` marker. Coalescing depends on the burst queueing
+/// before the blocker finishes, so an attempt in which the host
+/// descheduled the server long enough to prevent it is repeated.
+#[test]
+fn coalesced_executions_keep_their_probe_spans() {
+    let fx = fixture();
+    let tables: Vec<_> = fx.lake.iter().map(|(_, t)| t.clone()).collect();
+    for attempt in 0..5 {
+        let mut server = start_server(ServerConfig {
+            workers: 1,
+            queue_capacity: 256,
+            trace: TraceConfig {
+                slow_threshold_ns: 0,
+                slow_capacity: 512,
+                ..TraceConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let blocker = Request::Batch {
+            requests: (0..MAX_BATCH)
+                .map(|i| Request::Unionable {
+                    table: tables[i % tables.len()].clone(),
+                    k: 1 + i / tables.len(),
+                })
+                .collect(),
+        };
+        // Distinct `k`s: no single is answered from the cache.
+        let singles = (1..=12).map(|k| Request::Keyword {
+            query: "dataset".into(),
+            k,
+        });
+        let burst: Vec<Request> = std::iter::once(blocker).chain(singles).collect();
+        send_burst(&server, &burst);
+
+        let mut client = Client::connect(server.local_addr()).expect("connect admin");
+        let trees = slow_queries(&mut client, 1_000_000, 512);
+        server.shutdown();
+        assert_eq!(trees.len(), burst.len(), "every request is traced");
+        let mut coalesced = 0;
+        for tree in &trees {
+            assert!(!tree.cache_hit, "distinct requests cannot hit the cache");
+            let names = span_names(tree);
+            let batched = names.iter().any(|n| n == "probe.batched");
+            let probed = names
+                .iter()
+                .any(|n| n.starts_with("probe.") && n != "probe.batched");
+            coalesced += usize::from(batched);
+            assert!(
+                batched || probed,
+                "an executed request must record its probes: {} {names:?}",
+                tree.endpoint
+            );
+        }
+        if coalesced > 0 {
+            return;
+        }
+        eprintln!("attempt {attempt}: the burst did not coalesce; retrying");
+    }
+    panic!("a burst queued behind a 64-query batch never coalesced in 5 attempts");
 }
 
 /// The determinism contract: two fresh servers with the same trace seed
