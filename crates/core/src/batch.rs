@@ -1,19 +1,26 @@
 //! Deterministic batched query execution.
 //!
 //! Discovery workloads arrive in bursts (LakeBench-style benchmark sweeps,
-//! a coordinator fanning one client batch across shards), and per-request
-//! overhead — thread-local scratch warm-up, index-root cache misses,
-//! per-call bookkeeping — dominates when queries are issued one at a time.
-//! [`run_batch`] amortizes it: a batch of independent read-only queries is
-//! chunked across the machine's cores with `std::thread::scope`, each
-//! worker answering its contiguous slice sequentially.
+//! a client batch a shard server answers for the coordinator), and
+//! per-request overhead — thread-local scratch warm-up, index-root cache
+//! misses, per-call bookkeeping — dominates when queries are issued one
+//! at a time. [`run_batch`] amortizes it: a batch of independent
+//! read-only queries is chunked across the machine's cores with
+//! `std::thread::scope`, each worker answering its contiguous slice
+//! sequentially.
+//!
+//! A batch is a map of singles: there are no per-family batch methods.
+//! Callers map a family's single-query entry point over the batch — as
+//! td-serve does for a `Request::Batch` frame and for a worker's
+//! coalesced singles.
 //!
 //! Determinism contract: every query is answered by the *same* per-query
 //! code path the sequential API uses, against the same immutable index
 //! state, and results are returned in input order — so a batched answer is
 //! byte-identical to the sequential one regardless of core count or
 //! scheduling. The equivalence tests in `crates/core/tests/batch.rs` pin
-//! this for all eight search families.
+//! this for all eight search families and the six shard-plane entry
+//! points.
 
 /// Answer every query in `queries` with `f`, in parallel, returning
 /// results in input order.

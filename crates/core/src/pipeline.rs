@@ -284,87 +284,6 @@ impl DiscoveryPipeline {
         })
     }
 
-    // --- batched execution -----------------------------------------------
-    //
-    // One entry point per search family answering many queries in a
-    // single call. Each query still runs the exact per-query code path
-    // above (same counters, same probes), so batched rankings are
-    // byte-identical to sequential ones — `crates/core/tests/batch.rs`
-    // pins that per family. The win is amortization: queries are spread
-    // across cores by [`crate::batch::run_batch`] and each worker's
-    // thread-local index scratch stays warm across its slice.
-
-    /// Batched [`Self::search_keyword`]; results in input order.
-    #[must_use]
-    pub fn search_keyword_batch(&self, queries: &[(&str, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k)| self.search_keyword(q, k))
-    }
-
-    /// Batched [`Self::search_joinable`]; results in input order.
-    #[must_use]
-    pub fn search_joinable_batch(
-        &self,
-        queries: &[(&Column, usize)],
-    ) -> Vec<Vec<(TableId, usize)>> {
-        crate::batch::run_batch(queries, |&(q, k)| self.search_joinable(q, k))
-    }
-
-    /// Batched [`Self::search_unionable`]; results in input order.
-    #[must_use]
-    pub fn search_unionable_batch(&self, queries: &[(&Table, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k)| self.search_unionable(q, k))
-    }
-
-    /// Batched [`Self::search_unionable_semantic`]; results in input order.
-    #[must_use]
-    pub fn search_unionable_semantic_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k)| self.search_unionable_semantic(q, k))
-    }
-
-    /// Batched [`Self::search_unionable_relationship`]; results in input
-    /// order.
-    #[must_use]
-    pub fn search_unionable_relationship_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k)| self.search_unionable_relationship(q, k))
-    }
-
-    /// Batched [`Self::search_fuzzy_joinable`]; results in input order.
-    #[must_use]
-    pub fn search_fuzzy_joinable_batch(
-        &self,
-        queries: &[(&Column, f32, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, tau, k)| {
-            self.search_fuzzy_joinable(q, tau, k)
-        })
-    }
-
-    /// Batched [`Self::search_multi_joinable`]; results in input order.
-    #[must_use]
-    pub fn search_multi_joinable_batch(
-        &self,
-        queries: &[(&Table, &[usize], usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, key_cols, k)| {
-            self.search_multi_joinable(q, key_cols, k)
-        })
-    }
-
-    /// Batched [`Self::search_correlated`]; results in input order.
-    #[must_use]
-    pub fn search_correlated_batch(
-        &self,
-        queries: &[(&Column, &Column, usize)],
-    ) -> Vec<Vec<crate::join::CorrelatedHit>> {
-        crate::batch::run_batch(queries, |&(qk, qn, k)| self.search_correlated(qk, qn, k))
-    }
-
     // --- shard plane -----------------------------------------------------
     //
     // Entry points a scatter-gather coordinator (td-shard) uses to make a
@@ -444,73 +363,6 @@ impl DiscoveryPipeline {
     ) -> Vec<(TableId, f64)> {
         observe_query("unionable_semantic", || {
             self.starmie.search_with_candidates(query, k, tables)
-        })
-    }
-
-    // --- shard plane, batched --------------------------------------------
-    //
-    // Batched forms of the hooks above so a coordinator can answer a
-    // client batch with one scatter round-trip per phase instead of one
-    // per query. Same per-query code paths; results in input order.
-
-    /// Batched [`Self::keyword_term_stats`].
-    #[must_use]
-    pub fn keyword_term_stats_batch(&self, queries: &[&str]) -> Vec<td_index::Bm25Stats> {
-        crate::batch::run_batch(queries, |q| self.keyword_term_stats(q))
-    }
-
-    /// Batched [`Self::search_keyword_with_stats`] — each query scored
-    /// with its own pinned statistics.
-    #[must_use]
-    pub fn search_keyword_with_stats_batch(
-        &self,
-        queries: &[(&str, usize, &td_index::Bm25Stats)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k, stats)| {
-            self.search_keyword_with_stats(q, k, stats)
-        })
-    }
-
-    /// Batched [`Self::search_joinable_columns`].
-    #[must_use]
-    pub fn search_joinable_columns_batch(
-        &self,
-        queries: &[(&Column, usize)],
-    ) -> Vec<Vec<crate::join::OverlapHit>> {
-        crate::batch::run_batch(queries, |&(q, width)| {
-            self.search_joinable_columns(q, width)
-        })
-    }
-
-    /// Batched [`Self::search_fuzzy_columns`].
-    #[must_use]
-    pub fn search_fuzzy_columns_batch(
-        &self,
-        queries: &[(&Column, f32, usize)],
-    ) -> Vec<Vec<(td_table::ColumnRef, f64)>> {
-        crate::batch::run_batch(queries, |&(q, tau, width)| {
-            self.search_fuzzy_columns(q, tau, width)
-        })
-    }
-
-    /// Batched [`Self::semantic_candidates`].
-    #[must_use]
-    pub fn semantic_candidates_batch(
-        &self,
-        queries: &[&Table],
-    ) -> Vec<Vec<Vec<(td_table::ColumnRef, f32)>>> {
-        crate::batch::run_batch(queries, |q| self.semantic_candidates(q))
-    }
-
-    /// Batched [`Self::search_semantic_with_candidates`] — each query
-    /// scored against its own pinned candidate set.
-    #[must_use]
-    pub fn search_semantic_with_candidates_batch(
-        &self,
-        queries: &[(&Table, usize, &BTreeSet<TableId>)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        crate::batch::run_batch(queries, |&(q, k, tables)| {
-            self.search_semantic_with_candidates(q, k, tables)
         })
     }
 }

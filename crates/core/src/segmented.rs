@@ -22,18 +22,19 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use td_table::gen::bench_union::RelationSpec;
 use td_table::gen::domains::DomainRegistry;
-use td_table::{Column, Table, TableId};
+use td_table::{Table, TableId};
 
-use crate::join::CorrelatedHit;
 use crate::pipeline::{DiscoveryPipeline, PipelineConfig};
 use crate::segment::{PipelineContext, PipelineSegment, SegmentView};
 
 /// An incrementally maintained discovery pipeline.
 ///
 /// The write path (`ingest_table` / `drop_table` / `seal` / `compact`)
-/// mutates segments; the read path (`snapshot` and the `search_*`
-/// helpers) serves a cached [`DiscoveryPipeline`] assembled from the
-/// current segment stack, rebuilt only after a write invalidated it.
+/// mutates segments; the read path is [`Self::snapshot`], a cached
+/// [`DiscoveryPipeline`] assembled from the current segment stack,
+/// rebuilt only after a write invalidated it. Queries run on the
+/// snapshot (`sp.snapshot().search_keyword(..)`), so a burst of queries
+/// shares one assembly.
 pub struct SegmentedPipeline {
     ctx: PipelineContext,
     sealed: Vec<PipelineSegment>,
@@ -260,147 +261,6 @@ impl SegmentedPipeline {
     #[must_use]
     pub fn num_tombstones(&self) -> usize {
         self.tombstones.len()
-    }
-
-    /// Keyword search over metadata/schema (see
-    /// [`DiscoveryPipeline::search_keyword`]).
-    #[must_use]
-    pub fn search_keyword(&self, query: &str, k: usize) -> Vec<(TableId, f64)> {
-        self.snapshot().search_keyword(query, k)
-    }
-
-    /// Exact top-k joinable tables (see
-    /// [`DiscoveryPipeline::search_joinable`]).
-    #[must_use]
-    pub fn search_joinable(&self, query: &Column, k: usize) -> Vec<(TableId, usize)> {
-        self.snapshot().search_joinable(query, k)
-    }
-
-    /// Ensemble-TUS unionable tables (see
-    /// [`DiscoveryPipeline::search_unionable`]).
-    #[must_use]
-    pub fn search_unionable(&self, query: &Table, k: usize) -> Vec<(TableId, f64)> {
-        self.snapshot().search_unionable(query, k)
-    }
-
-    /// Starmie unionable tables (see
-    /// [`DiscoveryPipeline::search_unionable_semantic`]).
-    #[must_use]
-    pub fn search_unionable_semantic(&self, query: &Table, k: usize) -> Vec<(TableId, f64)> {
-        self.snapshot().search_unionable_semantic(query, k)
-    }
-
-    /// SANTOS unionable tables (see
-    /// [`DiscoveryPipeline::search_unionable_relationship`]).
-    #[must_use]
-    pub fn search_unionable_relationship(&self, query: &Table, k: usize) -> Vec<(TableId, f64)> {
-        self.snapshot().search_unionable_relationship(query, k)
-    }
-
-    /// Fuzzily joinable tables (see
-    /// [`DiscoveryPipeline::search_fuzzy_joinable`]).
-    #[must_use]
-    pub fn search_fuzzy_joinable(&self, query: &Column, tau: f32, k: usize) -> Vec<(TableId, f64)> {
-        self.snapshot().search_fuzzy_joinable(query, tau, k)
-    }
-
-    /// Composite-key joinable tables (see
-    /// [`DiscoveryPipeline::search_multi_joinable`]).
-    #[must_use]
-    pub fn search_multi_joinable(
-        &self,
-        query: &Table,
-        key_cols: &[usize],
-        k: usize,
-    ) -> Vec<(TableId, f64)> {
-        self.snapshot().search_multi_joinable(query, key_cols, k)
-    }
-
-    /// Correlated-column search (see
-    /// [`DiscoveryPipeline::search_correlated`]).
-    #[must_use]
-    pub fn search_correlated(
-        &self,
-        query_key: &Column,
-        query_num: &Column,
-        k: usize,
-    ) -> Vec<CorrelatedHit> {
-        self.snapshot().search_correlated(query_key, query_num, k)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_keyword_batch`] over one
-    /// snapshot: the segment stack is assembled (or fetched from cache)
-    /// once for the whole batch, not once per query.
-    #[must_use]
-    pub fn search_keyword_batch(&self, queries: &[(&str, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_keyword_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_joinable_batch(
-        &self,
-        queries: &[(&Column, usize)],
-    ) -> Vec<Vec<(TableId, usize)>> {
-        self.snapshot().search_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_unionable_batch(&self, queries: &[(&Table, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_semantic_batch`] over
-    /// one snapshot.
-    #[must_use]
-    pub fn search_unionable_semantic_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_semantic_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_unionable_relationship_batch`]
-    /// over one snapshot.
-    #[must_use]
-    pub fn search_unionable_relationship_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_unionable_relationship_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_fuzzy_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_fuzzy_joinable_batch(
-        &self,
-        queries: &[(&Column, f32, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_fuzzy_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_multi_joinable_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_multi_joinable_batch(
-        &self,
-        queries: &[(&Table, &[usize], usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        self.snapshot().search_multi_joinable_batch(queries)
-    }
-
-    /// Batched [`DiscoveryPipeline::search_correlated_batch`] over one
-    /// snapshot.
-    #[must_use]
-    pub fn search_correlated_batch(
-        &self,
-        queries: &[(&Column, &Column, usize)],
-    ) -> Vec<Vec<CorrelatedHit>> {
-        self.snapshot().search_correlated_batch(queries)
     }
 
     fn invalidate(&mut self) {

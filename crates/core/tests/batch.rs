@@ -1,10 +1,12 @@
-//! The batched entry points' core invariant: `search_*_batch` over any
-//! workload returns rankings **byte-identical** to calling the
-//! one-at-a-time path on each query in order, for all eight search
-//! families, on both `DiscoveryPipeline` and `SegmentedPipeline`.
+//! `td_core::run_batch` over the pipeline's own single-query entry
+//! points — how td-serve answers a `Batch` frame and a worker's
+//! coalesced singles — returns rankings **byte-identical** to calling
+//! those singles one at a time in order, for all eight search families
+//! and the six shard-plane entry points, on both a one-shot pipeline and
+//! a segmented pipeline's snapshot.
 //!
-//! The batch layer farms queries out to scoped threads, so this suite is
-//! also the proof that per-query probe state (epoch scratch, TopK heaps)
+//! `run_batch` farms queries out to scoped threads, so this suite is
+//! the proof that per-query probe state (epoch scratch, TopK heaps)
 //! never leaks across concurrently-running queries.
 //!
 //! Comparisons render full outputs (ids and scores) via `Debug`; `Debug`
@@ -12,10 +14,11 @@
 //! equality is bit equality of every score.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
-use td_core::{DiscoveryPipeline, PipelineConfig, SegmentedPipeline};
+use td_core::{run_batch, DiscoveryPipeline, PipelineConfig, SegmentedPipeline};
 use td_table::gen::lakegen::{LakeGenConfig, LakeGenerator};
-use td_table::{Table, TableId};
+use td_table::{Column, Table, TableId};
 
 struct Fixture {
     pipeline: DiscoveryPipeline,
@@ -57,105 +60,83 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Compare one family's batched answers against the sequential loop on
-/// the same pipeline. The `Debug` rendering of the whole `Vec<Vec<..>>`
-/// carries every id and every score bit.
+/// Answer `queries` with `run_batch` over one single-query closure and
+/// with a sequential loop over the same closure; the `Debug` renderings
+/// (every id and every score bit) must be equal.
 macro_rules! assert_batch_matches {
-    ($family:literal, $batch:expr, $sequential:expr) => {
+    ($family:literal, $queries:expr, $single:expr) => {
         assert_eq!(
-            format!("{:?}", $batch),
-            format!("{:?}", $sequential),
+            format!("{:?}", run_batch(&$queries, $single)),
+            format!("{:?}", $queries.iter().map($single).collect::<Vec<_>>()),
             "{} batch diverged from sequential",
             $family
         );
     };
 }
 
-/// Run every family over `workload` (pairs of query-table index and k)
-/// and assert batched == sequential on the given pipeline.
-fn check_all_families(
+/// Keyword terms drawn from generated metadata; workloads cycle them.
+const TERMS: [&str; 4] = ["dataset", "sensor", "city", "record"];
+
+/// The workload's keyword queries: `(term, k)`.
+fn keyword_queries(workload: &[(usize, usize)]) -> Vec<(&'static str, usize)> {
+    workload
+        .iter()
+        .map(|&(qi, k)| (TERMS[qi % TERMS.len()], k))
+        .collect()
+}
+
+/// The workload's column queries: the selected table's first column.
+fn column_queries<'a>(
+    queries: &'a [(TableId, Table)],
+    workload: &[(usize, usize)],
+) -> Vec<(&'a Column, usize)> {
+    workload
+        .iter()
+        .map(|&(qi, k)| (&queries[qi % queries.len()].1.columns[0], k))
+        .collect()
+}
+
+/// The workload's table queries: the selected table itself.
+fn table_queries<'a>(
+    queries: &'a [(TableId, Table)],
+    workload: &[(usize, usize)],
+) -> Vec<(&'a Table, usize)> {
+    workload
+        .iter()
+        .map(|&(qi, k)| (&queries[qi % queries.len()].1, k))
+        .collect()
+}
+
+/// Run the eight search families over `workload` (pairs of query-table
+/// index and k) and assert batched == sequential on the given pipeline.
+fn check_searches(
     p: &DiscoveryPipeline,
     queries: &[(TableId, Table)],
     workload: &[(usize, usize)],
 ) {
-    // Keyword: cycle through terms drawn from generated metadata.
-    let terms = ["dataset", "sensor", "city", "record"];
-    let kw: Vec<(&str, usize)> = workload
-        .iter()
-        .map(|&(qi, k)| (terms[qi % terms.len()], k))
-        .collect();
-    assert_batch_matches!(
-        "keyword",
-        p.search_keyword_batch(&kw),
-        kw.iter()
-            .map(|&(q, k)| p.search_keyword(q, k))
-            .collect::<Vec<_>>()
-    );
+    let kw = keyword_queries(workload);
+    assert_batch_matches!("keyword", kw, |&(q, k)| p.search_keyword(q, k));
 
-    // Column families: first column of the selected query table.
-    let cols: Vec<(&td_table::Column, usize)> = workload
-        .iter()
-        .map(|&(qi, k)| (&queries[qi % queries.len()].1.columns[0], k))
-        .collect();
-    assert_batch_matches!(
-        "joinable",
-        p.search_joinable_batch(&cols),
-        cols.iter()
-            .map(|&(c, k)| p.search_joinable(c, k))
-            .collect::<Vec<_>>()
-    );
-    let fuzzy: Vec<(&td_table::Column, f32, usize)> =
-        cols.iter().map(|&(c, k)| (c, 0.8, k)).collect();
-    assert_batch_matches!(
-        "fuzzy",
-        p.search_fuzzy_joinable_batch(&fuzzy),
-        fuzzy
-            .iter()
-            .map(|&(c, tau, k)| p.search_fuzzy_joinable(c, tau, k))
-            .collect::<Vec<_>>()
-    );
+    let cols = column_queries(queries, workload);
+    assert_batch_matches!("joinable", cols, |&(c, k)| p.search_joinable(c, k));
+    let fuzzy: Vec<(&Column, f32, usize)> = cols.iter().map(|&(c, k)| (c, 0.8, k)).collect();
+    assert_batch_matches!("fuzzy", fuzzy, |&(c, tau, k)| p
+        .search_fuzzy_joinable(c, tau, k));
 
-    // Table families.
-    let tabs: Vec<(&Table, usize)> = workload
-        .iter()
-        .map(|&(qi, k)| (&queries[qi % queries.len()].1, k))
-        .collect();
-    assert_batch_matches!(
-        "unionable",
-        p.search_unionable_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| p.search_unionable(t, k))
-            .collect::<Vec<_>>()
-    );
-    assert_batch_matches!(
-        "starmie",
-        p.search_unionable_semantic_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| p.search_unionable_semantic(t, k))
-            .collect::<Vec<_>>()
-    );
-    assert_batch_matches!(
-        "santos",
-        p.search_unionable_relationship_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| p.search_unionable_relationship(t, k))
-            .collect::<Vec<_>>()
-    );
+    let tabs = table_queries(queries, workload);
+    assert_batch_matches!("unionable", tabs, |&(t, k)| p.search_unionable(t, k));
+    assert_batch_matches!("starmie", tabs, |&(t, k)| p.search_unionable_semantic(t, k));
+    assert_batch_matches!("santos", tabs, |&(t, k)| p
+        .search_unionable_relationship(t, k));
     let multi: Vec<(&Table, &[usize], usize)> = tabs
         .iter()
         .map(|&(t, k)| (t, &[0usize, 1][..], k))
         .collect();
-    assert_batch_matches!(
-        "mate",
-        p.search_multi_joinable_batch(&multi),
-        multi
-            .iter()
-            .map(|&(t, key_cols, k)| p.search_multi_joinable(t, key_cols, k))
-            .collect::<Vec<_>>()
-    );
+    assert_batch_matches!("mate", multi, |&(t, key_cols, k)| p
+        .search_multi_joinable(t, key_cols, k));
 
     // Correlated: needs a categorical key and a numeric column.
-    let corr: Vec<(&td_table::Column, &td_table::Column, usize)> = workload
+    let corr: Vec<(&Column, &Column, usize)> = workload
         .iter()
         .filter_map(|&(qi, k)| {
             let t = &queries[qi % queries.len()].1;
@@ -164,174 +145,85 @@ fn check_all_families(
             Some((key, num, k))
         })
         .collect();
-    assert_batch_matches!(
-        "correlated",
-        p.search_correlated_batch(&corr),
-        corr.iter()
-            .map(|&(key, num, k)| p.search_correlated(key, num, k))
-            .collect::<Vec<_>>()
-    );
+    assert_batch_matches!("correlated", corr, |&(key, num, k)| p
+        .search_correlated(key, num, k));
+}
+
+/// Run the six shard-plane entry points — what a coordinator's phases
+/// run on each shard (two-phase keyword and semantic, column windows) —
+/// over `workload` and assert batched == sequential.
+fn check_shard_plane(
+    p: &DiscoveryPipeline,
+    queries: &[(TableId, Table)],
+    workload: &[(usize, usize)],
+) {
+    let kw = keyword_queries(workload);
+    let texts: Vec<&str> = kw.iter().map(|&(q, _)| q).collect();
+    assert_batch_matches!("term stats", texts, |q| p.keyword_term_stats(q));
+    let stats: Vec<td_index::Bm25Stats> = texts.iter().map(|q| p.keyword_term_stats(q)).collect();
+    let scored: Vec<(&str, usize, &td_index::Bm25Stats)> = kw
+        .iter()
+        .zip(&stats)
+        .map(|(&(q, k), s)| (q, k, s))
+        .collect();
+    assert_batch_matches!("keyword scored", scored, |&(q, k, s)| p
+        .search_keyword_with_stats(q, k, s));
+    let cols = column_queries(queries, workload);
+    assert_batch_matches!("joinable columns", cols, |&(c, w)| p
+        .search_joinable_columns(c, w));
+    let fuzzy: Vec<(&Column, f32, usize)> = cols.iter().map(|&(c, w)| (c, 0.8, w)).collect();
+    assert_batch_matches!("fuzzy columns", fuzzy, |&(c, tau, w)| p
+        .search_fuzzy_columns(c, tau, w));
+    let tabs = table_queries(queries, workload);
+    let qtabs: Vec<&Table> = tabs.iter().map(|&(t, _)| t).collect();
+    assert_batch_matches!("semantic candidates", qtabs, |t| p.semantic_candidates(t));
+    // The candidate set a one-shard coordinator would pin.
+    let sets: Vec<BTreeSet<TableId>> = qtabs
+        .iter()
+        .map(|t| {
+            p.semantic_candidates(t)
+                .into_iter()
+                .flatten()
+                .map(|(cref, _)| cref.table)
+                .collect()
+        })
+        .collect();
+    let semscored: Vec<(&Table, usize, &BTreeSet<TableId>)> = tabs
+        .iter()
+        .zip(&sets)
+        .map(|(&(t, k), s)| (t, k, s))
+        .collect();
+    assert_batch_matches!("semantic scored", semscored, |&(t, k, s)| p
+        .search_semantic_with_candidates(t, k, s));
 }
 
 /// Fixed workload spanning batch sizes around the probe-sweep width,
 /// duplicate queries, and k values from 1 up past the lake size.
+fn fixed_workload() -> Vec<(usize, usize)> {
+    (0..9).map(|i| (i % 4, [1, 4, 8, 20][i % 4])).collect()
+}
+
+/// The eight search families on the one-shot pipeline.
 #[test]
 fn all_families_batch_matches_sequential() {
     let f = fixture();
-    let workload: Vec<(usize, usize)> = (0..9).map(|i| (i % 4, [1, 4, 8, 20][i % 4])).collect();
-    check_all_families(&f.pipeline, &f.queries, &workload);
+    check_searches(&f.pipeline, &f.queries, &fixed_workload());
 }
 
-/// The segmented pipeline batches against one snapshot; its answers must
-/// still equal the one-at-a-time segmented path.
+/// A segmented pipeline's queries run on one snapshot; a batch over it
+/// must still equal the one-at-a-time answers on that snapshot.
 #[test]
 fn segmented_batch_matches_sequential() {
     let f = fixture();
-    let tabs: Vec<(&Table, usize)> = f.queries.iter().map(|(_, t)| (t, 8)).collect();
-    assert_batch_matches!(
-        "segmented unionable",
-        f.segmented.search_unionable_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| f.segmented.search_unionable(t, k))
-            .collect::<Vec<_>>()
-    );
-    assert_batch_matches!(
-        "segmented starmie",
-        f.segmented.search_unionable_semantic_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| f.segmented.search_unionable_semantic(t, k))
-            .collect::<Vec<_>>()
-    );
-    let kw: Vec<(&str, usize)> = vec![("dataset", 3), ("sensor", 8), ("dataset", 1)];
-    assert_batch_matches!(
-        "segmented keyword",
-        f.segmented.search_keyword_batch(&kw),
-        kw.iter()
-            .map(|&(q, k)| f.segmented.search_keyword(q, k))
-            .collect::<Vec<_>>()
-    );
-    let cols: Vec<(&td_table::Column, usize)> =
-        f.queries.iter().map(|(_, t)| (&t.columns[0], 5)).collect();
-    assert_batch_matches!(
-        "segmented joinable",
-        f.segmented.search_joinable_batch(&cols),
-        cols.iter()
-            .map(|&(c, k)| f.segmented.search_joinable(c, k))
-            .collect::<Vec<_>>()
-    );
-    let fuzzy: Vec<(&td_table::Column, f32, usize)> =
-        cols.iter().map(|&(c, k)| (c, 0.8, k)).collect();
-    assert_batch_matches!(
-        "segmented fuzzy",
-        f.segmented.search_fuzzy_joinable_batch(&fuzzy),
-        fuzzy
-            .iter()
-            .map(|&(c, tau, k)| f.segmented.search_fuzzy_joinable(c, tau, k))
-            .collect::<Vec<_>>()
-    );
-    assert_batch_matches!(
-        "segmented santos",
-        f.segmented.search_unionable_relationship_batch(&tabs),
-        tabs.iter()
-            .map(|&(t, k)| f.segmented.search_unionable_relationship(t, k))
-            .collect::<Vec<_>>()
-    );
-    let multi: Vec<(&Table, &[usize], usize)> = tabs
-        .iter()
-        .map(|&(t, k)| (t, &[0usize, 1][..], k))
-        .collect();
-    assert_batch_matches!(
-        "segmented mate",
-        f.segmented.search_multi_joinable_batch(&multi),
-        multi
-            .iter()
-            .map(|&(t, key_cols, k)| f.segmented.search_multi_joinable(t, key_cols, k))
-            .collect::<Vec<_>>()
-    );
+    check_searches(&f.segmented.snapshot(), &f.queries, &fixed_workload());
 }
 
-/// The shard-plane batch entries (two-phase keyword and semantic, column
-/// windows) must also match their sequential counterparts — the
-/// distributed coordinator leans on these for its one-fanout batches.
+/// The six shard-plane entry points, which a shard server runs for the
+/// coordinator's batched phases.
 #[test]
 fn shard_plane_batch_matches_sequential() {
     let f = fixture();
-    let p = &f.pipeline;
-    let terms = ["dataset", "sensor", "city"];
-    assert_batch_matches!(
-        "term stats",
-        p.keyword_term_stats_batch(&terms),
-        terms
-            .iter()
-            .map(|q| p.keyword_term_stats(q))
-            .collect::<Vec<_>>()
-    );
-    let stats: Vec<td_index::Bm25Stats> = terms.iter().map(|q| p.keyword_term_stats(q)).collect();
-    let scored: Vec<(&str, usize, &td_index::Bm25Stats)> =
-        terms.iter().zip(&stats).map(|(&q, s)| (q, 6, s)).collect();
-    assert_batch_matches!(
-        "keyword scored",
-        p.search_keyword_with_stats_batch(&scored),
-        scored
-            .iter()
-            .map(|&(q, k, s)| p.search_keyword_with_stats(q, k, s))
-            .collect::<Vec<_>>()
-    );
-    let cols: Vec<(&td_table::Column, usize)> =
-        f.queries.iter().map(|(_, t)| (&t.columns[0], 12)).collect();
-    assert_batch_matches!(
-        "joinable columns",
-        p.search_joinable_columns_batch(&cols),
-        cols.iter()
-            .map(|&(c, w)| p.search_joinable_columns(c, w))
-            .collect::<Vec<_>>()
-    );
-    let fuzzy: Vec<(&td_table::Column, f32, usize)> =
-        cols.iter().map(|&(c, w)| (c, 0.8, w)).collect();
-    assert_batch_matches!(
-        "fuzzy columns",
-        p.search_fuzzy_columns_batch(&fuzzy),
-        fuzzy
-            .iter()
-            .map(|&(c, tau, w)| p.search_fuzzy_columns(c, tau, w))
-            .collect::<Vec<_>>()
-    );
-    let qtabs: Vec<&Table> = f.queries.iter().map(|(_, t)| t).collect();
-    assert_batch_matches!(
-        "semantic candidates",
-        p.semantic_candidates_batch(&qtabs),
-        qtabs
-            .iter()
-            .map(|t| p.semantic_candidates(t))
-            .collect::<Vec<_>>()
-    );
-    let sets: Vec<std::collections::BTreeSet<TableId>> = qtabs
-        .iter()
-        .map(|t| td_shard_free_candidates(p, t))
-        .collect();
-    let semscored: Vec<(&Table, usize, &std::collections::BTreeSet<TableId>)> =
-        qtabs.iter().zip(&sets).map(|(&t, s)| (t, 7, s)).collect();
-    assert_batch_matches!(
-        "semantic scored",
-        p.search_semantic_with_candidates_batch(&semscored),
-        semscored
-            .iter()
-            .map(|&(t, k, s)| p.search_semantic_with_candidates(t, k, s))
-            .collect::<Vec<_>>()
-    );
-}
-
-/// Candidate table set for a query, derived from the pipeline's own
-/// candidate windows (what a one-shard coordinator would pin).
-fn td_shard_free_candidates(
-    p: &DiscoveryPipeline,
-    t: &Table,
-) -> std::collections::BTreeSet<TableId> {
-    p.semantic_candidates(t)
-        .into_iter()
-        .flatten()
-        .map(|(cref, _)| cref.table)
-        .collect()
+    check_shard_plane(&f.pipeline, &f.queries, &fixed_workload());
 }
 
 proptest! {
@@ -345,8 +237,10 @@ proptest! {
         workload in proptest::collection::vec((0usize..4, 1usize..16), 1..12),
     ) {
         let f = fixture();
-        check_all_families(&f.pipeline, &f.queries, &workload);
+        check_searches(&f.pipeline, &f.queries, &workload);
+        check_shard_plane(&f.pipeline, &f.queries, &workload);
         let snap = f.segmented.snapshot();
-        check_all_families(&snap, &f.queries, &workload);
+        check_searches(&snap, &f.queries, &workload);
+        check_shard_plane(&snap, &f.queries, &workload);
     }
 }

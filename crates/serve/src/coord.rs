@@ -25,6 +25,13 @@
 //! the shared table aggregation on the merged window; the remaining
 //! families are plain top-k unions.
 //!
+//! Each family's plan is written once, over a slice of requests: a
+//! single is a slice of one, a client [`Request::Batch`] the whole
+//! slice. Every phase reaches a shard as one frame — a lone
+//! sub-request bare, more as one `Request::Batch` — so a 16-query batch
+//! over K shards costs the same round-trips as a single query, and each
+//! query's per-shard answers fold with the same merge either way.
+//!
 //! ## Partial failure
 //!
 //! A shard that cannot be dialed (after the configured backoff) or that
@@ -43,9 +50,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use td_core::join::exact::column_fetch_width;
 use td_core::union::starmie::StarmieConfig;
 use td_obs::{Counter, Gauge, Histogram, Timer};
-use td_shard::{merge, Bm25Stats, ShardMap};
+use td_shard::{merge, ShardMap};
 use td_table::TableId;
 
 use crate::client::{BackoffConfig, Client};
@@ -57,6 +65,88 @@ use crate::protocol::{
 
 fn relock<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One phase's answers: per shard (indexed by shard id), the
+/// sub-replies in query order, or `None` for a shard that was not asked
+/// or did not answer.
+type Gathered = Vec<Option<Vec<Reply>>>;
+
+/// Query `qi`'s sub-reply from every shard that answered a phase.
+fn answers(gathered: &Gathered, qi: usize) -> Vec<&Reply> {
+    gathered.iter().flatten().map(|rs| &rs[qi]).collect()
+}
+
+/// The payloads of one `Reply` variant among a query's per-shard
+/// answers; other shapes contribute nothing, like a missing shard.
+macro_rules! payloads {
+    ($answers:expr, $variant:path) => {
+        $answers
+            .iter()
+            .filter_map(|r| match r {
+                $variant(v) => Some(v.clone()),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+}
+
+/// Phase one of a search plan: the request a shard answers for a
+/// client search. The join families fetch *column* windows
+/// (`column_fetch_width(k)` wide), keyword gathers BM25 statistics and
+/// semantic gathers candidate windows; the plain top-k unions send the
+/// request itself.
+fn shard_form(req: &Request) -> Request {
+    match req {
+        Request::Keyword { query, .. } => Request::KeywordStats {
+            query: query.clone(),
+        },
+        Request::Joinable { column, k } => Request::JoinableColumns {
+            column: column.clone(),
+            width: column_fetch_width(*k),
+        },
+        Request::FuzzyJoinable { column, tau, k } => Request::FuzzyColumns {
+            column: column.clone(),
+            tau: *tau,
+            width: column_fetch_width(*k),
+        },
+        Request::UnionableSemantic { table, .. } => Request::SemanticCandidates {
+            table: table.clone(),
+        },
+        other => other.clone(),
+    }
+}
+
+/// Fold one query's last per-shard answers into the client reply: the
+/// join families merge column windows and aggregate tables, correlated
+/// merges under its sketch-order tie-break, and every other family
+/// (keyword and semantic after phase two) is a plain top-k union.
+fn gather(req: &Request, answers: &[&Reply]) -> Reply {
+    match req {
+        Request::Joinable { k, .. } => {
+            let per_shard = payloads!(answers, Reply::OverlapColumns);
+            let window = merge::merge_overlap_columns(per_shard, column_fetch_width(*k));
+            Reply::Overlaps(td_core::join::exact::aggregate_tables(window, *k))
+        }
+        Request::FuzzyJoinable { k, .. } => {
+            let per_shard = payloads!(answers, Reply::FuzzyColumns);
+            let window = merge::merge_fuzzy_columns(per_shard, column_fetch_width(*k));
+            Reply::Scores(td_core::join::fuzzy::aggregate_tables(window, *k))
+        }
+        Request::Correlated { k, .. } => Reply::Correlated(merge::merge_correlated(
+            payloads!(answers, Reply::Correlated),
+            *k,
+        )),
+        Request::Keyword { k, .. }
+        | Request::Unionable { k, .. }
+        | Request::UnionableSemantic { k, .. }
+        | Request::UnionableRelationship { k, .. }
+        | Request::MultiJoinable { k, .. } => {
+            Reply::Scores(merge::merge_scores(payloads!(answers, Reply::Scores), *k))
+        }
+        // Not a search request: `Coordinator::handle` never plans one.
+        _ => Reply::Scores(Vec::new()),
+    }
 }
 
 /// Coordinator construction parameters.
@@ -178,7 +268,7 @@ impl Coordinator {
     /// One call to one shard, re-dialing (with backoff) on a missing or
     /// broken connection. Any failure drops the cached connection so
     /// the next call starts from a clean dial.
-    fn call_shard(&self, shard: usize, req: Request, deadline_ms: u64) -> Option<Reply> {
+    fn call_shard(&self, shard: usize, req: &Request, deadline_ms: u64) -> Option<Reply> {
         let slot = &self.slots[shard];
         // The cached connection is *taken* out of the slot for the
         // duration of the call, so the slot lock is never held across a
@@ -219,21 +309,27 @@ impl Coordinator {
         None
     }
 
-    /// Scatter one request per shard (`None` skips that shard) and
-    /// gather the replies positionally. Shards are called from scoped
+    /// Send `req` to every shard with `asked[shard]` set and gather the
+    /// replies positionally, returning them with the ids of the asked
+    /// shards that did not answer. Shards are called from scoped
     /// threads so a slow shard overlaps the others; the result vector
     /// is indexed by shard id, so gather order is deterministic
     /// regardless of completion order.
-    fn scatter(&self, reqs: Vec<Option<Request>>, deadline_ms: u64) -> Vec<Option<Reply>> {
+    fn scatter(
+        &self,
+        req: &Request,
+        asked: &[bool],
+        deadline_ms: u64,
+    ) -> (Vec<Option<Reply>>, Vec<u32>) {
         let _span = td_obs::trace::probe("coord.scatter");
         let t = Timer::start();
         let mut out: Vec<Option<Reply>> = (0..self.slots.len()).map(|_| None).collect();
         std::thread::scope(|s| {
-            let handles: Vec<_> = reqs
-                .into_iter()
+            let handles: Vec<_> = asked
+                .iter()
                 .enumerate()
-                .map(|(shard, req)| {
-                    req.map(|req| s.spawn(move || self.call_shard(shard, req, deadline_ms)))
+                .map(|(shard, &a)| {
+                    a.then(|| s.spawn(move || self.call_shard(shard, req, deadline_ms)))
                 })
                 .collect();
             for (shard, h) in handles.into_iter().enumerate() {
@@ -243,573 +339,110 @@ impl Coordinator {
             }
         });
         self.metrics.fanout_latency.record_duration(t.elapsed());
-        out
-    }
-
-    /// Scatter `req` to every shard.
-    fn scatter_all(&self, req: &Request, deadline_ms: u64) -> Vec<Option<Reply>> {
-        self.scatter(
-            (0..self.slots.len()).map(|_| Some(req.clone())).collect(),
-            deadline_ms,
-        )
-    }
-
-    /// Shard ids that were asked (`asked[i]`) but did not answer.
-    fn missing(asked: &[bool], replies: &[Option<Reply>]) -> Vec<u32> {
-        replies
+        let missing = out
             .iter()
             .enumerate()
             .filter(|(i, r)| asked[*i] && r.is_none())
             .map(|(i, _)| i as u32)
-            .collect()
-    }
-
-    /// Plain top-k union over per-shard `Reply::Scores` answers.
-    fn fan_scores(&self, req: &Request, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
             .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
+        (out, missing)
     }
 
-    /// Two-phase distributed keyword search.
-    fn keyword(&self, query: &str, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let stats_req = Request::KeywordStats {
-            query: query.to_string(),
+    /// Send `req` to every shard.
+    fn scatter_all(&self, req: &Request, deadline_ms: u64) -> (Vec<Option<Reply>>, Vec<u32>) {
+        self.scatter(req, &vec![true; self.slots.len()], deadline_ms)
+    }
+
+    /// One network phase of a search plan: `subs` (one sub-request per
+    /// query) go to every asked shard as one frame — a lone sub-request
+    /// bare, more as one `Request::Batch`, whose sub-replies are
+    /// byte-identical to the bare ones. Each shard gathers its
+    /// sub-replies in input order; a shard that did not answer, or
+    /// answered a batch of the wrong length, gathers `None`.
+    fn phase(&self, subs: Vec<Request>, asked: &[bool], dl: u64) -> (Gathered, Vec<u32>) {
+        let n = subs.len();
+        let frame = match <[Request; 1]>::try_from(subs) {
+            Ok([one]) => one,
+            Err(requests) => Request::Batch { requests },
         };
-        let replies = self.scatter_all(&stats_req, deadline_ms);
-        let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let stats: Vec<Option<Bm25Stats>> = replies
+        let (replies, missing) = self.scatter(&frame, asked, dl);
+        let gathered = replies
             .into_iter()
             .map(|r| match r {
-                Some(Reply::KeywordStats(s)) => Some(s),
+                Some(Reply::Batch(rs)) if n > 1 && rs.len() == n => Some(rs),
+                Some(r) if n == 1 => Some(vec![r]),
                 _ => None,
             })
             .collect();
-        let live: Vec<Bm25Stats> = stats.iter().filter_map(Clone::clone).collect();
-        let Some(global) = merge::merge_keyword_stats(&live) else {
-            return (Reply::Scores(Vec::new()), degraded);
-        };
-        let asked: Vec<bool> = stats.iter().map(Option::is_some).collect();
-        let reqs: Vec<Option<Request>> = stats
+        (gathered, missing)
+    }
+
+    /// Answer search requests, all of one family, with that family's
+    /// plan; a single is a slice of one, and a batch costs the same
+    /// round-trips. Phase one scatters each query's shard-side form
+    /// ([`shard_form`]). Keyword and semantic queries then scatter a
+    /// second request pinned to their merged phase-one answers
+    /// ([`Self::pinned`]) to the shards that answered phase one. The
+    /// gather folds each query's last per-shard answers with the
+    /// `td_shard::merge` algebra ([`gather`]).
+    fn search(&self, requests: &[Request], dl: u64) -> (Vec<Reply>, Vec<u32>) {
+        let everyone = vec![true; self.slots.len()];
+        let (first, mut degraded) =
+            self.phase(requests.iter().map(shard_form).collect(), &everyone, dl);
+        // `second_of[qi]`: query `qi`'s index in phase two, if it has one.
+        let mut subs = Vec::new();
+        let mut second_of = Vec::with_capacity(requests.len());
+        for (qi, r) in requests.iter().enumerate() {
+            let sub = self.pinned(r, &answers(&first, qi));
+            second_of.push(sub.is_some().then_some(subs.len()));
+            subs.extend(sub);
+        }
+        let mut second = Vec::new();
+        if !subs.is_empty() {
+            let answered: Vec<bool> = first.iter().map(Option::is_some).collect();
+            let (gathered, missing) = self.phase(subs, &answered, dl);
+            second = gathered;
+            degraded.extend(missing);
+            degraded.sort_unstable();
+            degraded.dedup();
+        }
+        let _span = td_obs::trace::probe("coord.gather");
+        let replies = requests
             .iter()
-            .map(|s| {
-                s.as_ref().map(|_| Request::KeywordScored {
-                    query: query.to_string(),
-                    k,
-                    stats: global.clone(),
+            .zip(second_of)
+            .enumerate()
+            .map(|(qi, (r, ri))| match ri {
+                Some(ri) => gather(r, &answers(&second, ri)),
+                None => gather(r, &answers(&first, qi)),
+            })
+            .collect();
+        (replies, degraded)
+    }
+
+    /// Phase two of the two-phase families: the query pinned to its
+    /// merged phase-one answers. `None` for the one-phase families, and
+    /// for a keyword query no shard has statistics for (it answers
+    /// empty, as one pipeline would).
+    fn pinned(&self, req: &Request, first: &[&Reply]) -> Option<Request> {
+        match req {
+            Request::Keyword { query, k } => {
+                let stats = merge::merge_keyword_stats(&payloads!(first, Reply::KeywordStats))?;
+                Some(Request::KeywordScored {
+                    query: query.clone(),
+                    k: *k,
+                    stats,
                 })
-            })
-            .collect();
-        let scored = self.scatter(reqs, deadline_ms);
-        degraded.extend(Self::missing(&asked, &scored));
-        degraded.sort_unstable();
-        degraded.dedup();
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = scored
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
-            .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
-    }
-
-    /// Two-phase distributed semantic (Starmie) search.
-    fn semantic(&self, table: &td_table::Table, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let cand_req = Request::SemanticCandidates {
-            table: table.clone(),
-        };
-        let replies = self.scatter_all(&cand_req, deadline_ms);
-        let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        // Per-shard candidate windows: one window (ranked `(column,
-        // similarity)` list) per query column, `None` for shards that
-        // did not answer.
-        type Windows = Vec<Vec<(td_table::ColumnRef, f32)>>;
-        let windows: Vec<Option<Windows>> = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::CandidateWindows(w)) => Some(w),
-                _ => None,
-            })
-            .collect();
-        let live: Vec<Windows> = windows.iter().filter_map(Clone::clone).collect();
-        let merged = merge::merge_candidate_windows(&live, self.cfg.fanout);
-        let tables: Vec<TableId> = merge::candidate_tables(&merged).into_iter().collect();
-        let asked: Vec<bool> = windows.iter().map(Option::is_some).collect();
-        let reqs: Vec<Option<Request>> = windows
-            .iter()
-            .map(|w| {
-                w.as_ref().map(|_| Request::SemanticScored {
+            }
+            Request::UnionableSemantic { table, k } => {
+                let windows = payloads!(first, Reply::CandidateWindows);
+                let merged = merge::merge_candidate_windows(&windows, self.cfg.fanout);
+                Some(Request::SemanticScored {
                     table: table.clone(),
-                    k,
-                    tables: tables.clone(),
+                    k: *k,
+                    tables: merge::candidate_tables(&merged).into_iter().collect(),
                 })
-            })
-            .collect();
-        let scored = self.scatter(reqs, deadline_ms);
-        degraded.extend(Self::missing(&asked, &scored));
-        degraded.sort_unstable();
-        degraded.dedup();
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = scored
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Scores(s)) => s,
-                _ => Vec::new(),
-            })
-            .collect();
-        (Reply::Scores(merge::merge_scores(per_shard, k)), degraded)
-    }
-
-    /// Column-window merge for the exact-join family.
-    fn joinable(&self, column: &td_table::Column, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let width = td_core::join::exact::column_fetch_width(k);
-        let req = Request::JoinableColumns {
-            column: column.clone(),
-            width,
-        };
-        let replies = self.scatter_all(&req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::OverlapColumns(w)) => w,
-                _ => Vec::new(),
-            })
-            .collect();
-        let window = merge::merge_overlap_columns(per_shard, width);
-        (
-            Reply::Overlaps(td_core::join::exact::aggregate_tables(window, k)),
-            degraded,
-        )
-    }
-
-    /// Column-window merge for the fuzzy-join family.
-    fn fuzzy_joinable(
-        &self,
-        column: &td_table::Column,
-        tau: f32,
-        k: usize,
-        deadline_ms: u64,
-    ) -> (Reply, Vec<u32>) {
-        let width = td_core::join::exact::column_fetch_width(k);
-        let req = Request::FuzzyColumns {
-            column: column.clone(),
-            tau,
-            width,
-        };
-        let replies = self.scatter_all(&req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::FuzzyColumns(w)) => w,
-                _ => Vec::new(),
-            })
-            .collect();
-        let window = merge::merge_fuzzy_columns(per_shard, width);
-        (
-            Reply::Scores(td_core::join::fuzzy::aggregate_tables(window, k)),
-            degraded,
-        )
-    }
-
-    /// Correlated-search union.
-    fn correlated(&self, req: &Request, k: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(req, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-        let _span = td_obs::trace::probe("coord.gather");
-        let per_shard = replies
-            .into_iter()
-            .map(|r| match r {
-                Some(Reply::Correlated(h)) => h,
-                _ => Vec::new(),
-            })
-            .collect();
-        (
-            Reply::Correlated(merge::merge_correlated(per_shard, k)),
-            degraded,
-        )
-    }
-
-    /// Unpack one shard's `Reply::Batch` answer, requiring exactly `n`
-    /// sub-replies — anything else counts as a missing shard.
-    fn batch_replies(r: Option<Reply>, n: usize) -> Option<Vec<Reply>> {
-        match r {
-            Some(Reply::Batch(rs)) if rs.len() == n => Some(rs),
+            }
             _ => None,
-        }
-    }
-
-    /// Per-shard `Scores` sub-replies at query index `qi`; missing
-    /// shards (or unexpected reply shapes) contribute an empty list,
-    /// exactly like the one-at-a-time gather.
-    fn scores_at(shards: &[Option<Vec<Reply>>], qi: usize) -> Vec<Vec<(TableId, f64)>> {
-        shards
-            .iter()
-            .map(|s| match s {
-                Some(rs) => match &rs[qi] {
-                    Reply::Scores(v) => v.clone(),
-                    _ => Vec::new(),
-                },
-                None => Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Per-request fallback for a batch the coalesced paths cannot
-    /// shape-match (unreachable after `validate_batch`, but a wrong
-    /// answer path must degrade to correctness, never panic).
-    fn batch_fallback(&self, requests: &[Request], dl: u64) -> (Reply, Vec<u32>) {
-        let mut degraded = Vec::new();
-        let mut out = Vec::with_capacity(requests.len());
-        for r in requests {
-            let (reply, d) = match r {
-                Request::Keyword { query, k } => self.keyword(query, *k, dl),
-                Request::Joinable { column, k } => self.joinable(column, *k, dl),
-                Request::FuzzyJoinable { column, tau, k } => {
-                    self.fuzzy_joinable(column, *tau, *k, dl)
-                }
-                Request::UnionableSemantic { table, k } => self.semantic(table, *k, dl),
-                Request::Unionable { k, .. }
-                | Request::UnionableRelationship { k, .. }
-                | Request::MultiJoinable { k, .. } => self.fan_scores(r, *k, dl),
-                Request::Correlated { k, .. } => self.correlated(r, *k, dl),
-                _ => (Reply::Scores(Vec::new()), Vec::new()),
-            };
-            out.push(reply);
-            degraded.extend(d);
-        }
-        degraded.sort_unstable();
-        degraded.dedup();
-        (Reply::Batch(out), degraded)
-    }
-
-    /// Batched scatter-gather: the whole client batch ships to every
-    /// shard as ONE `Request::Batch` frame per network phase (so a
-    /// 16-query batch over K shards costs the same round-trips as a
-    /// single query), and each query's per-shard answers are folded
-    /// with exactly the merge algebra of the one-at-a-time paths.
-    fn batch(&self, requests: &[Request], dl: u64) -> (Reply, Vec<u32>) {
-        let n = requests.len();
-        match &requests[0] {
-            // Plain top-k unions: one fanout, per-query `merge_scores`.
-            Request::Unionable { .. }
-            | Request::UnionableRelationship { .. }
-            | Request::MultiJoinable { .. } => {
-                let req = Request::Batch {
-                    requests: requests.to_vec(),
-                };
-                let replies = self.scatter_all(&req, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, r)| {
-                        let k = match r {
-                            Request::Unionable { k, .. }
-                            | Request::UnionableRelationship { k, .. }
-                            | Request::MultiJoinable { k, .. } => *k,
-                            _ => 0,
-                        };
-                        Reply::Scores(merge::merge_scores(Self::scores_at(&shards, qi), k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            Request::Correlated { .. } => {
-                let req = Request::Batch {
-                    requests: requests.to_vec(),
-                };
-                let replies = self.scatter_all(&req, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, r)| {
-                        let k = match r {
-                            Request::Correlated { k, .. } => *k,
-                            _ => 0,
-                        };
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::Correlated(h) => h.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        Reply::Correlated(merge::merge_correlated(per_shard, k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            // Column-window families: one fanout of per-query window
-            // requests, then the shared table aggregation per query.
-            Request::Joinable { .. } => {
-                let mut cols = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::Joinable { column, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    cols.push((column, *k));
-                }
-                let sub: Vec<Request> = cols
-                    .iter()
-                    .map(|(c, k)| Request::JoinableColumns {
-                        column: (*c).clone(),
-                        width: td_core::join::exact::column_fetch_width(*k),
-                    })
-                    .collect();
-                let replies = self.scatter_all(&Request::Batch { requests: sub }, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = cols
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, (_, k))| {
-                        let width = td_core::join::exact::column_fetch_width(*k);
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::OverlapColumns(w) => w.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        let window = merge::merge_overlap_columns(per_shard, width);
-                        Reply::Overlaps(td_core::join::exact::aggregate_tables(window, *k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            Request::FuzzyJoinable { .. } => {
-                let mut cols = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::FuzzyJoinable { column, tau, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    cols.push((column, *tau, *k));
-                }
-                let sub: Vec<Request> = cols
-                    .iter()
-                    .map(|(c, tau, k)| Request::FuzzyColumns {
-                        column: (*c).clone(),
-                        tau: *tau,
-                        width: td_core::join::exact::column_fetch_width(*k),
-                    })
-                    .collect();
-                let replies = self.scatter_all(&Request::Batch { requests: sub }, dl);
-                let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = cols
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, (_, _, k))| {
-                        let width = td_core::join::exact::column_fetch_width(*k);
-                        let per_shard = shards
-                            .iter()
-                            .map(|s| match s {
-                                Some(rs) => match &rs[qi] {
-                                    Reply::FuzzyColumns(w) => w.clone(),
-                                    _ => Vec::new(),
-                                },
-                                None => Vec::new(),
-                            })
-                            .collect();
-                        let window = merge::merge_fuzzy_columns(per_shard, width);
-                        Reply::Scores(td_core::join::fuzzy::aggregate_tables(window, *k))
-                    })
-                    .collect();
-                (Reply::Batch(out), degraded)
-            }
-            // Two-phase keyword: one batched stats fanout, one batched
-            // scoring fanout pinned to the merged global statistics.
-            Request::Keyword { .. } => {
-                let mut queries = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::Keyword { query, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    queries.push((query.clone(), *k));
-                }
-                let stats_batch = Request::Batch {
-                    requests: queries
-                        .iter()
-                        .map(|(q, _)| Request::KeywordStats { query: q.clone() })
-                        .collect(),
-                };
-                let replies = self.scatter_all(&stats_batch, dl);
-                let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let asked: Vec<bool> = shards.iter().map(Option::is_some).collect();
-                let globals: Vec<Option<Bm25Stats>> = (0..n)
-                    .map(|qi| {
-                        let live: Vec<Bm25Stats> = shards
-                            .iter()
-                            .flatten()
-                            .filter_map(|rs| match &rs[qi] {
-                                Reply::KeywordStats(s) => Some(s.clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        merge::merge_keyword_stats(&live)
-                    })
-                    .collect();
-                // Queries with no statistics anywhere answer empty, the
-                // same as the single-query path.
-                let scored: Vec<(usize, Request)> = globals
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(qi, g)| {
-                        g.as_ref().map(|g| {
-                            (
-                                qi,
-                                Request::KeywordScored {
-                                    query: queries[qi].0.clone(),
-                                    k: queries[qi].1,
-                                    stats: g.clone(),
-                                },
-                            )
-                        })
-                    })
-                    .collect();
-                let mut out: Vec<Reply> = (0..n).map(|_| Reply::Scores(Vec::new())).collect();
-                if !scored.is_empty() {
-                    let m = scored.len();
-                    let scored_batch = Request::Batch {
-                        requests: scored.iter().map(|(_, r)| r.clone()).collect(),
-                    };
-                    let reqs: Vec<Option<Request>> = asked
-                        .iter()
-                        .map(|&a| a.then(|| scored_batch.clone()))
-                        .collect();
-                    let scored_replies = self.scatter(reqs, dl);
-                    degraded.extend(Self::missing(&asked, &scored_replies));
-                    let sshards: Vec<Option<Vec<Reply>>> = scored_replies
-                        .into_iter()
-                        .map(|r| Self::batch_replies(r, m))
-                        .collect();
-                    let _span = td_obs::trace::probe("coord.gather");
-                    for (ri, (qi, _)) in scored.iter().enumerate() {
-                        let per_shard = Self::scores_at(&sshards, ri);
-                        out[*qi] = Reply::Scores(merge::merge_scores(per_shard, queries[*qi].1));
-                    }
-                }
-                degraded.sort_unstable();
-                degraded.dedup();
-                (Reply::Batch(out), degraded)
-            }
-            // Two-phase semantic: one batched candidate fanout, one
-            // batched scoring fanout pinned to each query's merged
-            // candidate table set.
-            Request::UnionableSemantic { .. } => {
-                let mut queries = Vec::with_capacity(n);
-                for r in requests {
-                    let Request::UnionableSemantic { table, k } = r else {
-                        return self.batch_fallback(requests, dl);
-                    };
-                    queries.push((table, *k));
-                }
-                let cand_batch = Request::Batch {
-                    requests: queries
-                        .iter()
-                        .map(|(t, _)| Request::SemanticCandidates {
-                            table: (*t).clone(),
-                        })
-                        .collect(),
-                };
-                let replies = self.scatter_all(&cand_batch, dl);
-                let mut degraded = Self::missing(&vec![true; self.slots.len()], &replies);
-                let shards: Vec<Option<Vec<Reply>>> = replies
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let asked: Vec<bool> = shards.iter().map(Option::is_some).collect();
-                type Windows = Vec<Vec<(td_table::ColumnRef, f32)>>;
-                let tables_per_q: Vec<Vec<TableId>> = (0..n)
-                    .map(|qi| {
-                        let live: Vec<Windows> = shards
-                            .iter()
-                            .flatten()
-                            .filter_map(|rs| match &rs[qi] {
-                                Reply::CandidateWindows(w) => Some(w.clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        let merged = merge::merge_candidate_windows(&live, self.cfg.fanout);
-                        merge::candidate_tables(&merged).into_iter().collect()
-                    })
-                    .collect();
-                let scored_batch = Request::Batch {
-                    requests: (0..n)
-                        .map(|qi| Request::SemanticScored {
-                            table: queries[qi].0.clone(),
-                            k: queries[qi].1,
-                            tables: tables_per_q[qi].clone(),
-                        })
-                        .collect(),
-                };
-                let reqs: Vec<Option<Request>> = asked
-                    .iter()
-                    .map(|&a| a.then(|| scored_batch.clone()))
-                    .collect();
-                let scored = self.scatter(reqs, dl);
-                degraded.extend(Self::missing(&asked, &scored));
-                let sshards: Vec<Option<Vec<Reply>>> = scored
-                    .into_iter()
-                    .map(|r| Self::batch_replies(r, n))
-                    .collect();
-                let _span = td_obs::trace::probe("coord.gather");
-                let out = (0..n)
-                    .map(|qi| {
-                        Reply::Scores(merge::merge_scores(
-                            Self::scores_at(&sshards, qi),
-                            queries[qi].1,
-                        ))
-                    })
-                    .collect();
-                degraded.sort_unstable();
-                degraded.dedup();
-                (Reply::Batch(out), degraded)
-            }
-            _ => self.batch_fallback(requests, dl),
         }
     }
 
@@ -821,7 +454,7 @@ impl Coordinator {
         let mut epoch = 0u64;
         let mut any = false;
         for shard in 0..self.slots.len() {
-            match self.call_shard(shard, Request::Reload, deadline_ms) {
+            match self.call_shard(shard, &Request::Reload, deadline_ms) {
                 Some(Reply::Reloaded(e)) => {
                     epoch = epoch.max(e);
                     any = true;
@@ -835,8 +468,7 @@ impl Coordinator {
     /// Fleet-wide checkpoint: every shard folds its own WAL; the reply
     /// sums sizes and record counts.
     fn snapshot_all(&self, deadline_ms: u64) -> (Option<Reply>, Vec<u32>) {
-        let replies = self.scatter_all(&Request::Snapshot, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
+        let (replies, degraded) = self.scatter_all(&Request::Snapshot, deadline_ms);
         let mut sum = SnapshotReply::default();
         let mut any = false;
         for r in replies.into_iter().flatten() {
@@ -853,9 +485,8 @@ impl Coordinator {
     /// Aggregate `Health` across shards: healthy iff every shard
     /// answered and reports healthy; gauges sum; the epoch is the
     /// maximum (shards bump independently under rolling reloads).
-    fn health(&self, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(&Request::Health, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
+    fn health(&self, deadline_ms: u64) -> (Option<Reply>, Vec<u32>) {
+        let (replies, degraded) = self.scatter_all(&Request::Health, deadline_ms);
         let mut agg = HealthReply {
             healthy: degraded.is_empty(),
             ..HealthReply::default()
@@ -873,15 +504,14 @@ impl Coordinator {
                 agg.traced += h.traced;
             }
         }
-        (Reply::Health(agg), degraded)
+        (Some(Reply::Health(agg)), degraded)
     }
 
     /// Aggregate `Stats` across shards: monotonic counters sum, the
     /// epoch is the maximum, per-endpoint latency rows are omitted
     /// (percentiles do not compose across shards).
-    fn stats(&self, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(&Request::Stats, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
+    fn stats(&self, deadline_ms: u64) -> (Option<Reply>, Vec<u32>) {
+        let (replies, degraded) = self.scatter_all(&Request::Stats, deadline_ms);
         let mut agg = StatsReply::default();
         for r in replies.into_iter().flatten() {
             if let Reply::Stats(s) = r {
@@ -898,13 +528,12 @@ impl Coordinator {
                 agg.inflight += s.inflight;
             }
         }
-        (Reply::Stats(agg), degraded)
+        (Some(Reply::Stats(agg)), degraded)
     }
 
     /// Concatenate per-shard metric dumps, each under a shard header.
-    fn metrics_dump(&self, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(&Request::MetricsDump, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
+    fn metrics_dump(&self, deadline_ms: u64) -> (Option<Reply>, Vec<u32>) {
+        let (replies, degraded) = self.scatter_all(&Request::MetricsDump, deadline_ms);
         let mut prometheus = String::new();
         let mut json_parts = Vec::new();
         for (shard, r) in replies.into_iter().enumerate() {
@@ -915,14 +544,16 @@ impl Coordinator {
             }
         }
         let json = format!("[{}]", json_parts.join(","));
-        (Reply::Metrics(MetricsReply { prometheus, json }), degraded)
+        (
+            Some(Reply::Metrics(MetricsReply { prometheus, json })),
+            degraded,
+        )
     }
 
     /// Merge per-shard slow-query logs: worst first (duration
     /// descending, trace id ascending), truncated to `n`.
-    fn slow_queries(&self, n: usize, deadline_ms: u64) -> (Reply, Vec<u32>) {
-        let replies = self.scatter_all(&Request::SlowQueries { n }, deadline_ms);
-        let degraded = Self::missing(&vec![true; self.slots.len()], &replies);
+    fn slow_queries(&self, n: usize, deadline_ms: u64) -> (Option<Reply>, Vec<u32>) {
+        let (replies, degraded) = self.scatter_all(&Request::SlowQueries { n }, deadline_ms);
         let mut all: Vec<TraceJson> = replies
             .into_iter()
             .flatten()
@@ -934,13 +565,13 @@ impl Coordinator {
             .collect();
         all.sort_by(|a, b| b.dur_ns.cmp(&a.dur_ns).then(a.trace_id.cmp(&b.trace_id)));
         all.truncate(n);
-        (Reply::SlowQueries(all), degraded)
+        (Some(Reply::SlowQueries(all)), degraded)
     }
 
     /// Route a mutation to the owning shard. Unlike searches, a routed
     /// write has exactly one home: an unreachable owner is a hard
     /// failure, not a degradation.
-    fn route_mutation(&self, id: TableId, env_id: u64, req: Request, dl: u64) -> ResponseEnvelope {
+    fn route_mutation(&self, id: TableId, env_id: u64, req: &Request, dl: u64) -> ResponseEnvelope {
         let owner = self.map.shard_of(id);
         match self.call_shard(owner, req, dl) {
             Some(reply) => ResponseEnvelope::ok(env_id, reply),
@@ -965,58 +596,24 @@ impl Coordinator {
     pub fn handle(&self, env: &RequestEnvelope) -> ResponseEnvelope {
         let id = env.id;
         let dl = env.deadline_ms;
+        let refuse_shard_plane = || {
+            ResponseEnvelope::fail(
+                id,
+                Status::BadRequest,
+                "shard-plane requests are not part of the coordinator's public surface",
+            )
+        };
         let (reply, degraded) = match &env.req {
             Request::Ping => (Some(Reply::Pong), Vec::new()),
-            Request::Keyword { query, k } => {
-                let (r, d) = self.keyword(query, *k, dl);
-                (Some(r), d)
-            }
-            Request::Joinable { column, k } => {
-                let (r, d) = self.joinable(column, *k, dl);
-                (Some(r), d)
-            }
-            Request::FuzzyJoinable { column, tau, k } => {
-                let (r, d) = self.fuzzy_joinable(column, *tau, *k, dl);
-                (Some(r), d)
-            }
-            Request::UnionableSemantic { table, k } => {
-                let (r, d) = self.semantic(table, *k, dl);
-                (Some(r), d)
-            }
-            Request::Unionable { k, .. }
-            | Request::UnionableRelationship { k, .. }
-            | Request::MultiJoinable { k, .. } => {
-                let (r, d) = self.fan_scores(&env.req, *k, dl);
-                (Some(r), d)
-            }
-            Request::Correlated { k, .. } => {
-                let (r, d) = self.correlated(&env.req, *k, dl);
-                (Some(r), d)
-            }
-            Request::IngestTable { id: tid, .. } => {
-                return self.route_mutation(*tid, id, env.req.clone(), dl);
-            }
-            Request::DropTable { id: tid } => {
-                return self.route_mutation(*tid, id, env.req.clone(), dl);
+            Request::IngestTable { id: tid, .. } | Request::DropTable { id: tid } => {
+                return self.route_mutation(*tid, id, &env.req, dl);
             }
             Request::Reload => self.rolling_reload(dl),
             Request::Snapshot => self.snapshot_all(dl),
-            Request::Health => {
-                let (r, d) = self.health(dl);
-                (Some(r), d)
-            }
-            Request::Stats => {
-                let (r, d) = self.stats(dl);
-                (Some(r), d)
-            }
-            Request::MetricsDump => {
-                let (r, d) = self.metrics_dump(dl);
-                (Some(r), d)
-            }
-            Request::SlowQueries { n } => {
-                let (r, d) = self.slow_queries(*n, dl);
-                (Some(r), d)
-            }
+            Request::Health => self.health(dl),
+            Request::Stats => self.stats(dl),
+            Request::MetricsDump => self.metrics_dump(dl),
+            Request::SlowQueries { n } => self.slow_queries(*n, dl),
             Request::Batch { requests } => {
                 if let Err(e) = Request::validate_batch(requests) {
                     return ResponseEnvelope::fail(id, Status::BadRequest, e);
@@ -1024,37 +621,17 @@ impl Coordinator {
                 // `validate_batch` admits shard-plane kinds (they are the
                 // coordinator's *outbound* vocabulary), but clients may
                 // only batch the public search families.
-                if requests[0].endpoint().starts_with("shard.")
-                    || matches!(
-                        requests[0],
-                        Request::KeywordStats { .. }
-                            | Request::KeywordScored { .. }
-                            | Request::JoinableColumns { .. }
-                            | Request::FuzzyColumns { .. }
-                            | Request::SemanticCandidates { .. }
-                            | Request::SemanticScored { .. }
-                    )
-                {
-                    return ResponseEnvelope::fail(
-                        id,
-                        Status::BadRequest,
-                        "shard-plane requests are not part of the coordinator's public surface",
-                    );
+                if requests.iter().any(Request::is_shard_plane) {
+                    return refuse_shard_plane();
                 }
-                let (r, d) = self.batch(requests, dl);
-                (Some(r), d)
+                let (replies, d) = self.search(requests, dl);
+                (Some(Reply::Batch(replies)), d)
             }
-            Request::KeywordStats { .. }
-            | Request::KeywordScored { .. }
-            | Request::JoinableColumns { .. }
-            | Request::FuzzyColumns { .. }
-            | Request::SemanticCandidates { .. }
-            | Request::SemanticScored { .. } => {
-                return ResponseEnvelope::fail(
-                    id,
-                    Status::BadRequest,
-                    "shard-plane requests are not part of the coordinator's public surface",
-                );
+            req if req.is_shard_plane() => return refuse_shard_plane(),
+            // The eight search families.
+            req => {
+                let (replies, d) = self.search(std::slice::from_ref(req), dl);
+                (replies.into_iter().next(), d)
             }
         };
         if !degraded.is_empty() {

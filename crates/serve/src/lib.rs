@@ -95,5 +95,5 @@ pub use protocol::{
     SpanNodeJson, StatsReply, Status, TraceJson, MAX_BATCH, MAX_FRAME_BYTES, MAX_FRAME_PREALLOC,
 };
 pub use queue::{AdmissionQueue, PushError};
-pub use server::{execute, execute_batch, Server, ServerConfig, ServerStats};
+pub use server::{execute, Server, ServerConfig, ServerStats};
 pub use workload::{Workload, WorkloadConfig};

@@ -209,10 +209,12 @@ pub enum Request {
         tables: Vec<TableId>,
     },
     /// A batch of same-family queries answered as one unit: admitted as
-    /// one queue entry, executed through the pipeline's `search_*_batch`
-    /// entry point, answered with [`Reply::Batch`] carrying one
-    /// sub-reply per sub-request in input order. Each sub-reply is
-    /// byte-identical to what the same request sent alone would return.
+    /// one queue entry and executed as a map of singles (each
+    /// sub-request through the same code as a lone request, spread over
+    /// cores by `td_core::run_batch`), answered with [`Reply::Batch`]
+    /// carrying one sub-reply per sub-request in input order. Each
+    /// sub-reply is byte-identical to what the same request sent alone
+    /// would return.
     /// Constraints ([`Request::validate_batch`]): 1..=[`MAX_BATCH`]
     /// sub-requests, all of one search or shard-plane family — nested
     /// batches, pings, and the admin/persist planes are rejected as
@@ -382,6 +384,24 @@ impl Request {
         matches!(
             self,
             Request::IngestTable { .. } | Request::DropTable { .. } | Request::Snapshot
+        )
+    }
+
+    /// True for the shard plane (`KeywordStats`, `KeywordScored`,
+    /// `JoinableColumns`, `FuzzyColumns`, `SemanticCandidates`,
+    /// `SemanticScored`): the per-shard halves of the coordinator's
+    /// scatter-gather. A server answers them like searches; the
+    /// coordinator only sends them and refuses them from clients.
+    #[must_use]
+    pub fn is_shard_plane(&self) -> bool {
+        matches!(
+            self,
+            Request::KeywordStats { .. }
+                | Request::KeywordScored { .. }
+                | Request::JoinableColumns { .. }
+                | Request::FuzzyColumns { .. }
+                | Request::SemanticCandidates { .. }
+                | Request::SemanticScored { .. }
         )
     }
 }

@@ -296,240 +296,13 @@ pub fn execute(pipeline: &DiscoveryPipeline, req: &Request) -> Reply {
         Request::SemanticScored { table, k, tables } => Reply::Scores(
             pipeline.search_semantic_with_candidates(table, *k, &tables.iter().copied().collect()),
         ),
-        // A batch frame: one sub-reply per sub-request through the
-        // pipeline's batched entry points. The server validates shape at
-        // admission; a direct caller handing an invalid batch here still
-        // gets a well-formed (per-request) answer via the fallback.
-        Request::Batch { requests } => Reply::Batch(execute_batch(pipeline, requests)),
-    }
-}
-
-/// Execute a homogeneous batch of requests through the pipeline's
-/// `search_*_batch` entry points: one reply per request, in input order,
-/// each byte-identical to [`execute`] on the same request alone. A batch
-/// that is not homogeneous (which [`Request::validate_batch`] would have
-/// rejected at admission) falls back to per-request execution, so this
-/// function never panics on shape.
-#[must_use]
-pub fn execute_batch(pipeline: &DiscoveryPipeline, reqs: &[Request]) -> Vec<Reply> {
-    fn fallback(pipeline: &DiscoveryPipeline, reqs: &[Request]) -> Vec<Reply> {
-        reqs.iter().map(|r| execute(pipeline, r)).collect()
-    }
-    let Some(first) = reqs.first() else {
-        return Vec::new();
-    };
-    match first {
-        Request::Keyword { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Keyword { query, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((query.as_str(), *k));
-            }
-            pipeline
-                .search_keyword_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
+        // A batch frame is a map of singles: one sub-reply per
+        // sub-request, in input order, each the single's own answer. The
+        // server validates shape at admission; a direct caller handing
+        // an invalid batch here still gets a well-formed answer.
+        Request::Batch { requests } => {
+            Reply::Batch(td_core::run_batch(requests, |r| execute(pipeline, r)))
         }
-        Request::Joinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Joinable { column, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *k));
-            }
-            pipeline
-                .search_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Overlaps)
-                .collect()
-        }
-        Request::Unionable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Unionable { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::UnionableSemantic { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::UnionableSemantic { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_semantic_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::UnionableRelationship { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::UnionableRelationship { table, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k));
-            }
-            pipeline
-                .search_unionable_relationship_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::FuzzyJoinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::FuzzyJoinable { column, tau, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *tau, *k));
-            }
-            pipeline
-                .search_fuzzy_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::MultiJoinable { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::MultiJoinable { table, key_cols, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, key_cols.as_slice(), *k));
-            }
-            pipeline
-                .search_multi_joinable_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::Correlated { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::Correlated { key, numeric, k } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((key, numeric, *k));
-            }
-            pipeline
-                .search_correlated_batch(&qs)
-                .into_iter()
-                .map(Reply::Correlated)
-                .collect()
-        }
-        Request::KeywordStats { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::KeywordStats { query } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push(query.as_str());
-            }
-            pipeline
-                .keyword_term_stats_batch(&qs)
-                .into_iter()
-                .map(Reply::KeywordStats)
-                .collect()
-        }
-        Request::KeywordScored { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::KeywordScored { query, k, stats } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((query.as_str(), *k, stats));
-            }
-            pipeline
-                .search_keyword_with_stats_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        Request::JoinableColumns { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::JoinableColumns { column, width } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *width));
-            }
-            pipeline
-                .search_joinable_columns_batch(&qs)
-                .into_iter()
-                .map(Reply::OverlapColumns)
-                .collect()
-        }
-        Request::FuzzyColumns { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::FuzzyColumns { column, tau, width } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((column, *tau, *width));
-            }
-            pipeline
-                .search_fuzzy_columns_batch(&qs)
-                .into_iter()
-                .map(Reply::FuzzyColumns)
-                .collect()
-        }
-        Request::SemanticCandidates { .. } => {
-            let mut qs = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::SemanticCandidates { table } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push(table);
-            }
-            pipeline
-                .semantic_candidates_batch(&qs)
-                .into_iter()
-                .map(Reply::CandidateWindows)
-                .collect()
-        }
-        Request::SemanticScored { .. } => {
-            // The pinned candidate sets need owned storage; collect them
-            // first, then borrow per query.
-            let mut sets = Vec::with_capacity(reqs.len());
-            for r in reqs {
-                let Request::SemanticScored { tables, .. } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                sets.push(
-                    tables
-                        .iter()
-                        .copied()
-                        .collect::<std::collections::BTreeSet<_>>(),
-                );
-            }
-            let mut qs = Vec::with_capacity(reqs.len());
-            for (r, set) in reqs.iter().zip(&sets) {
-                let Request::SemanticScored { table, k, .. } = r else {
-                    return fallback(pipeline, reqs);
-                };
-                qs.push((table, *k, set));
-            }
-            pipeline
-                .search_semantic_with_candidates_batch(&qs)
-                .into_iter()
-                .map(Reply::Scores)
-                .collect()
-        }
-        _ => fallback(pipeline, reqs),
     }
 }
 
@@ -1242,9 +1015,9 @@ fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
         }
         // Opportunistic coalescing: a worker that pops a batchable single
         // sweeps queued compatible singles (same family, same pipeline)
-        // and answers them all through one batched execution. The batched
-        // entry points produce byte-identical replies, so a coalesced
-        // client sees nothing but lower latency under load.
+        // and answers them all through one `run_batch` over the singles'
+        // own execution, so a coalesced client sees nothing but lower
+        // latency under load.
         let extras = if job.req.is_batchable() {
             shared.queue.drain_matching(MAX_COALESCE - 1, |j| {
                 j.endpoint == job.endpoint
@@ -1288,7 +1061,6 @@ fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
             .add((batch.len() - 1) as u64);
         shared.metrics.inflight.inc();
         let t = Timer::start();
-        let reqs: Vec<Request> = batch.iter().map(|j| j.req.clone()).collect();
         let replies = {
             // Only the primary job's trace attaches for the shared
             // execution — a thread carries at most one trace, so the
@@ -1310,7 +1082,7 @@ fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
                 .filter_map(|j| j.trace.as_ref())
                 .map(|tr| tr.open("probe.batched"))
                 .collect();
-            execute_batch(&batch[0].pipeline, &reqs)
+            td_core::run_batch(&batch, |j| execute(&j.pipeline, &j.req))
         };
         shared.metrics.inflight.dec_floored();
         let elapsed = t.elapsed();

@@ -61,7 +61,7 @@ fn env(id: u64, req: Request) -> RequestEnvelope {
 }
 
 /// One probe per search family (all eight), built from the fixture's
-/// first table.
+/// first table (correlated from the first table with a numeric column).
 fn probes(fx: &Fixture) -> Vec<Request> {
     let qt = &fx.tables[0].1;
     let mut out = vec![
@@ -98,9 +98,14 @@ fn probes(fx: &Fixture) -> Vec<Request> {
             k: K,
         });
     }
-    let key = qt.columns.iter().find(|c| !c.is_numeric());
-    let num = qt.columns.iter().find(|c| c.is_numeric());
-    if let (Some(key), Some(num)) = (key, num) {
+    // Correlated needs a categorical key and a numeric column; take the
+    // first table that has both.
+    let pair = fx.tables.iter().find_map(|(_, t)| {
+        let key = t.columns.iter().find(|c| !c.is_numeric())?;
+        let num = t.columns.iter().find(|c| c.is_numeric())?;
+        Some((key, num))
+    });
+    if let Some((key, num)) = pair {
         out.push(Request::Correlated {
             key: key.clone(),
             numeric: num.clone(),
@@ -110,7 +115,48 @@ fn probes(fx: &Fixture) -> Vec<Request> {
     out
 }
 
-/// The same request with a different k — batches mix result sizes.
+/// One request of each of the six shard-plane kinds (what a shard
+/// server answers for the coordinator), built from the fixture's first
+/// table.
+fn shard_plane_probes(fx: &Fixture) -> Vec<Request> {
+    let qt = &fx.tables[0].1;
+    let column = qt.columns[0].clone();
+    let candidates = fx
+        .batch
+        .semantic_candidates(qt)
+        .into_iter()
+        .flatten()
+        .map(|(c, _)| c.table)
+        .collect::<std::collections::BTreeSet<_>>();
+    vec![
+        Request::KeywordStats {
+            query: "dataset".into(),
+        },
+        Request::KeywordScored {
+            query: "dataset".into(),
+            k: K,
+            stats: fx.batch.keyword_term_stats("dataset"),
+        },
+        Request::JoinableColumns {
+            column: column.clone(),
+            width: K,
+        },
+        Request::FuzzyColumns {
+            column,
+            tau: 0.8,
+            width: K,
+        },
+        Request::SemanticCandidates { table: qt.clone() },
+        Request::SemanticScored {
+            table: qt.clone(),
+            k: K,
+            tables: candidates.into_iter().collect(),
+        },
+    ]
+}
+
+/// The same request with a different k (a column window's width) —
+/// batches mix result sizes.
 fn with_k(req: &Request, k: usize) -> Request {
     let mut r = req.clone();
     match &mut r {
@@ -121,15 +167,20 @@ fn with_k(req: &Request, k: usize) -> Request {
         | Request::UnionableRelationship { k: kk, .. }
         | Request::FuzzyJoinable { k: kk, .. }
         | Request::MultiJoinable { k: kk, .. }
-        | Request::Correlated { k: kk, .. } => *kk = k,
+        | Request::Correlated { k: kk, .. }
+        | Request::KeywordScored { k: kk, .. }
+        | Request::SemanticScored { k: kk, .. }
+        | Request::JoinableColumns { width: kk, .. }
+        | Request::FuzzyColumns { width: kk, .. } => *kk = k,
         _ => {}
     }
     r
 }
 
 /// A batch frame against a single server answers each sub-request
-/// byte-for-byte like the one-at-a-time path — for every family, with
-/// mixed k values, and again from the result cache.
+/// byte-for-byte like the one-at-a-time path — for every search family
+/// and every shard-plane kind, with mixed k values, and again from the
+/// result cache.
 #[test]
 fn batch_frames_are_byte_identical_to_singles() {
     let fx = fixture();
@@ -145,7 +196,8 @@ fn batch_frames_are_byte_identical_to_singles() {
 
     for round in 0..2 {
         // Round 1 misses the cache, round 2 hits it: both byte-identical.
-        for (i, probe) in probes(fx).into_iter().enumerate() {
+        let all = probes(fx).into_iter().chain(shard_plane_probes(fx));
+        for (i, probe) in all.enumerate() {
             let requests: Vec<Request> = [1, K, 17].iter().map(|&k| with_k(&probe, k)).collect();
             let id = 500 + round * 100 + i as u64;
             let raw = client
@@ -363,26 +415,31 @@ fn coordinator_batches_are_byte_identical_to_singles() {
             CoordServer::start(Arc::clone(&coord), CoordServerConfig::default()).expect("front");
         let mut client = Client::connect(front.local_addr()).expect("connect");
 
+        // A batch of one ships its phases to the shards bare; a batch
+        // of three as one `Request::Batch` per phase.
         for (i, probe) in probes(fx).into_iter().enumerate() {
-            let requests: Vec<Request> = [1, K, 17].iter().map(|&k| with_k(&probe, k)).collect();
-            let id = 600 + i as u64;
-            let raw = client
-                .call_raw(&env(
-                    id,
-                    Request::Batch {
-                        requests: requests.clone(),
-                    },
-                ))
-                .expect("call");
-            let subs: Vec<Reply> = requests.iter().map(|r| execute(&fx.batch, r)).collect();
-            let expected =
-                encode_response(&ResponseEnvelope::ok(id, Reply::Batch(subs))).expect("encode");
-            assert_eq!(
-                raw,
-                expected,
-                "{shards}-shard coordinator batch diverged on {}",
-                probe.endpoint()
-            );
+            for ks in [&[K][..], &[1, K, 17][..]] {
+                let requests: Vec<Request> = ks.iter().map(|&k| with_k(&probe, k)).collect();
+                let id = 600 + 10 * i as u64 + ks.len() as u64;
+                let raw = client
+                    .call_raw(&env(
+                        id,
+                        Request::Batch {
+                            requests: requests.clone(),
+                        },
+                    ))
+                    .expect("call");
+                let subs: Vec<Reply> = requests.iter().map(|r| execute(&fx.batch, r)).collect();
+                let expected =
+                    encode_response(&ResponseEnvelope::ok(id, Reply::Batch(subs))).expect("encode");
+                assert_eq!(
+                    raw,
+                    expected,
+                    "{shards}-shard coordinator batch of {} diverged on {}",
+                    ks.len(),
+                    probe.endpoint()
+                );
+            }
         }
 
         // The coordinator applies the same shape validation...
@@ -421,12 +478,12 @@ fn coordinator_batches_are_byte_identical_to_singles() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random homogeneous batches (any family, any mix of k, any batch
-    /// size up to the limit) over a live socket: byte-identical to the
-    /// sequential oracle.
+    /// Random homogeneous batches (any search family or shard-plane
+    /// kind, any mix of k, any batch size up to the limit) over a live
+    /// socket: byte-identical to the sequential oracle.
     #[test]
     fn random_batches_match_singles_over_sockets(
-        family in 0usize..8,
+        family in 0usize..14,
         ks in proptest::collection::vec(1usize..20, 1..12),
     ) {
         static SRV: OnceLock<Server> = OnceLock::new();
@@ -438,7 +495,8 @@ proptest! {
             )
             .expect("server")
         });
-        let all = probes(fx);
+        let mut all = probes(fx);
+        all.extend(shard_plane_probes(fx));
         let probe = &all[family % all.len()];
         let requests: Vec<Request> = ks.iter().map(|&k| with_k(probe, k)).collect();
         let mut client = Client::connect(server.local_addr()).expect("connect");

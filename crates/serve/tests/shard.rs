@@ -66,7 +66,7 @@ fn env(id: u64, req: Request) -> RequestEnvelope {
 }
 
 /// One probe per search family (all eight), built from the fixture's
-/// first table.
+/// first table (correlated from the first table with a numeric column).
 fn probes(fx: &Fixture) -> Vec<Request> {
     let qt = &fx.tables[0].1;
     let mut out = vec![
@@ -103,9 +103,14 @@ fn probes(fx: &Fixture) -> Vec<Request> {
             k: K,
         });
     }
-    let key = qt.columns.iter().find(|c| !c.is_numeric());
-    let num = qt.columns.iter().find(|c| c.is_numeric());
-    if let (Some(key), Some(num)) = (key, num) {
+    // Correlated needs a categorical key and a numeric column; take the
+    // first table that has both.
+    let pair = fx.tables.iter().find_map(|(_, t)| {
+        let key = t.columns.iter().find(|c| !c.is_numeric())?;
+        let num = t.columns.iter().find(|c| c.is_numeric())?;
+        Some((key, num))
+    });
+    if let Some((key, num)) = pair {
         out.push(Request::Correlated {
             key: key.clone(),
             numeric: num.clone(),
@@ -264,7 +269,39 @@ fn degraded_replies_and_rejoin_over_durable_fleet() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The coordinator refuses shard-plane requests on its public surface.
+/// One request of each of the six shard-plane kinds.
+fn shard_plane_probes(fx: &Fixture) -> Vec<Request> {
+    let qt = &fx.tables[0].1;
+    let column = qt.columns[0].clone();
+    vec![
+        Request::KeywordStats {
+            query: "dataset".into(),
+        },
+        Request::KeywordScored {
+            query: "dataset".into(),
+            k: K,
+            stats: fx.batch.keyword_term_stats("dataset"),
+        },
+        Request::JoinableColumns {
+            column: column.clone(),
+            width: K,
+        },
+        Request::FuzzyColumns {
+            column,
+            tau: 0.8,
+            width: K,
+        },
+        Request::SemanticCandidates { table: qt.clone() },
+        Request::SemanticScored {
+            table: qt.clone(),
+            k: K,
+            tables: fx.tables.iter().map(|(id, _)| *id).collect(),
+        },
+    ]
+}
+
+/// The coordinator refuses every shard-plane kind on its public
+/// surface, alone and inside a batch.
 #[test]
 fn shard_plane_requests_are_rejected_by_the_coordinator() {
     let fx = fixture();
@@ -279,12 +316,82 @@ fn shard_plane_requests_are_rejected_by_the_coordinator() {
     )
     .expect("fleet");
     let coord = fleet.coordinator();
-    let resp = coord.handle(&env(
-        1,
-        Request::KeywordStats {
-            query: "dataset".into(),
+    for (i, req) in shard_plane_probes(fx).into_iter().enumerate() {
+        let alone = coord.handle(&env(i as u64, req.clone()));
+        assert_eq!(
+            alone.status,
+            Status::BadRequest,
+            "lone {} was not refused",
+            req.endpoint()
+        );
+        let batched = coord.handle(&env(
+            100 + i as u64,
+            Request::Batch {
+                requests: vec![req.clone(), req.clone()],
+            },
+        ));
+        assert_eq!(
+            batched.status,
+            Status::BadRequest,
+            "batched {} was not refused",
+            req.endpoint()
+        );
+    }
+    fleet.shutdown();
+}
+
+/// The coordinator→shard traffic per client call: every shard gets one
+/// frame per network phase, whether the client sent a single or a
+/// batch — one for the plain and join families, two for keyword and
+/// semantic (statistics or candidates, then the pinned scoring).
+#[test]
+fn each_phase_reaches_each_shard_as_one_frame() {
+    let fx = fixture();
+    let mut fleet = ShardFleet::start_partitioned(
+        2,
+        &fx.ctx,
+        &fx.tables,
+        &ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
         },
-    ));
-    assert_eq!(resp.status, Status::BadRequest);
+    )
+    .expect("fleet");
+    let coord = fleet.coordinator();
+    let requests_seen = |fleet: &ShardFleet| -> Vec<u64> {
+        (0..2)
+            .map(|i| fleet.server(i).expect("shard up").stats().requests)
+            .collect()
+    };
+    // Dial both shards before counting.
+    let warm = coord.handle(&env(1, Request::Health));
+    assert_eq!(warm.status, Status::Ok);
+
+    let all = probes(fx);
+    assert_eq!(all.len(), 8, "the fixture covers all eight families");
+    for (i, probe) in all.into_iter().enumerate() {
+        let phases: u64 = match &probe {
+            Request::Keyword { .. } | Request::UnionableSemantic { .. } => 2,
+            _ => 1,
+        };
+        let batch = Request::Batch {
+            requests: vec![probe.clone(), probe.clone(), probe.clone()],
+        };
+        for (shape, req) in [("single", probe.clone()), ("batch of 3", batch)] {
+            let before = requests_seen(&fleet);
+            let resp = coord.handle(&env(10 + i as u64, req));
+            assert_eq!(resp.status, Status::Ok);
+            assert!(resp.degraded.is_empty());
+            let after = requests_seen(&fleet);
+            for shard in 0..2 {
+                assert_eq!(
+                    after[shard] - before[shard],
+                    phases,
+                    "{shape} {} sent shard {shard} the wrong number of frames",
+                    probe.endpoint()
+                );
+            }
+        }
+    }
     fleet.shutdown();
 }

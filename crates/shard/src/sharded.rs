@@ -8,6 +8,11 @@
 //! performs over sockets, minus the sockets. It is the byte-identity
 //! oracle the equivalence proptests pin (K shards vs one pipeline) and
 //! the in-process baseline `shard_report` sweeps.
+//!
+//! There are no batched variants: a batch here is a loop (or a
+//! `td_core::run_batch`) over the singles. Batching pays off only where
+//! a call crosses a socket, so it lives in td-serve's coordinator, which
+//! ships each phase of a client batch to a shard as one frame.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -20,10 +25,6 @@ use td_table::{Column, Table, TableId};
 
 use crate::merge;
 use crate::partition::ShardMap;
-
-/// One query's semantic candidate windows from one shard:
-/// `[query column][rank] -> (lake column, similarity)`.
-type CandidateWindows = Vec<Vec<(td_table::ColumnRef, f32)>>;
 
 /// K hash-partitioned [`SegmentedPipeline`]s behind one search surface.
 pub struct ShardedPipeline {
@@ -239,231 +240,6 @@ impl ShardedPipeline {
                 .collect(),
             k,
         )
-    }
-
-    // --- batched scatter-gather ------------------------------------------
-    //
-    // One entry per family answering a whole batch with one snapshot
-    // fetch and one batched probe per shard per phase — the in-process
-    // model of td-serve's "one fanout round-trip per batch". The merge
-    // algebra above is reused verbatim per query, so batched shard
-    // rankings stay byte-identical to the sequential ones
-    // (`crates/shard/tests/batch.rs` pins this for K ∈ {1,2,4,7}).
-
-    /// Batched [`Self::search_keyword`]: both distributed phases (stats
-    /// gather, pinned-stats scatter) run once per shard for the whole
-    /// batch.
-    #[must_use]
-    pub fn search_keyword_batch(&self, queries: &[(&str, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let texts: Vec<&str> = queries.iter().map(|&(q, _)| q).collect();
-        let stats_by_shard: Vec<Vec<td_index::Bm25Stats>> = snaps
-            .iter()
-            .map(|p| p.keyword_term_stats_batch(&texts))
-            .collect();
-        let globals: Vec<Option<td_index::Bm25Stats>> = (0..queries.len())
-            .map(|qi| {
-                let per: Vec<td_index::Bm25Stats> =
-                    stats_by_shard.iter().map(|s| s[qi].clone()).collect();
-                merge::merge_keyword_stats(&per)
-            })
-            .collect();
-        // Phase two only for queries whose stats merged; the rest answer
-        // empty exactly like the sequential path.
-        let scored: Vec<(usize, (&str, usize, &td_index::Bm25Stats))> = queries
-            .iter()
-            .zip(&globals)
-            .enumerate()
-            .filter_map(|(qi, (&(q, k), g))| g.as_ref().map(|g| (qi, (q, k, g))))
-            .collect();
-        let reqs: Vec<(&str, usize, &td_index::Bm25Stats)> =
-            scored.iter().map(|&(_, r)| r).collect();
-        let replies_by_shard: Vec<Vec<Vec<(TableId, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_keyword_with_stats_batch(&reqs))
-            .collect();
-        let mut out: Vec<Vec<(TableId, f64)>> = vec![Vec::new(); queries.len()];
-        for (ri, &(qi, (_, k, _))) in scored.iter().enumerate() {
-            out[qi] =
-                merge::merge_scores(replies_by_shard.iter().map(|s| s[ri].clone()).collect(), k);
-        }
-        out
-    }
-
-    /// Batched [`Self::search_joinable`]: one column-window probe per
-    /// shard for the whole batch, then per-query window merge and table
-    /// aggregation.
-    #[must_use]
-    pub fn search_joinable_batch(
-        &self,
-        queries: &[(&Column, usize)],
-    ) -> Vec<Vec<(TableId, usize)>> {
-        let snaps = self.snapshots();
-        let reqs: Vec<(&Column, usize)> = queries
-            .iter()
-            .map(|&(q, k)| (q, column_fetch_width(k)))
-            .collect();
-        let windows_by_shard: Vec<Vec<Vec<td_core::join::OverlapHit>>> = snaps
-            .iter()
-            .map(|p| p.search_joinable_columns_batch(&reqs))
-            .collect();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qi, &(_, k))| {
-                let window = merge::merge_overlap_columns(
-                    windows_by_shard.iter().map(|s| s[qi].clone()).collect(),
-                    column_fetch_width(k),
-                );
-                td_core::join::exact::aggregate_tables(window, k)
-            })
-            .collect()
-    }
-
-    /// Batched [`Self::search_unionable`].
-    #[must_use]
-    pub fn search_unionable_batch(&self, queries: &[(&Table, usize)]) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let replies_by_shard: Vec<Vec<Vec<(TableId, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_unionable_batch(queries))
-            .collect();
-        Self::merge_scored_batch(&replies_by_shard, queries)
-    }
-
-    /// Batched [`Self::search_unionable_semantic`]: both distributed
-    /// phases (candidate gather, pinned-candidate scatter) run once per
-    /// shard for the whole batch.
-    #[must_use]
-    pub fn search_unionable_semantic_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let fanout = self.shards[0].context().cfg.starmie.fanout;
-        let texts: Vec<&Table> = queries.iter().map(|&(q, _)| q).collect();
-        let windows_by_shard: Vec<Vec<CandidateWindows>> = snaps
-            .iter()
-            .map(|p| p.semantic_candidates_batch(&texts))
-            .collect();
-        let tables: Vec<std::collections::BTreeSet<TableId>> = (0..queries.len())
-            .map(|qi| {
-                let per_query: Vec<CandidateWindows> =
-                    windows_by_shard.iter().map(|s| s[qi].clone()).collect();
-                let merged = merge::merge_candidate_windows(&per_query, fanout);
-                merge::candidate_tables(&merged)
-            })
-            .collect();
-        let reqs: Vec<(&Table, usize, &std::collections::BTreeSet<TableId>)> = queries
-            .iter()
-            .zip(&tables)
-            .map(|(&(q, k), t)| (q, k, t))
-            .collect();
-        let replies_by_shard: Vec<Vec<Vec<(TableId, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_semantic_with_candidates_batch(&reqs))
-            .collect();
-        Self::merge_scored_batch(&replies_by_shard, queries)
-    }
-
-    /// Batched [`Self::search_unionable_relationship`].
-    #[must_use]
-    pub fn search_unionable_relationship_batch(
-        &self,
-        queries: &[(&Table, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let replies_by_shard: Vec<Vec<Vec<(TableId, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_unionable_relationship_batch(queries))
-            .collect();
-        Self::merge_scored_batch(&replies_by_shard, queries)
-    }
-
-    /// Batched [`Self::search_fuzzy_joinable`].
-    #[must_use]
-    pub fn search_fuzzy_joinable_batch(
-        &self,
-        queries: &[(&Column, f32, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let reqs: Vec<(&Column, f32, usize)> = queries
-            .iter()
-            .map(|&(q, tau, k)| (q, tau, column_fetch_width(k)))
-            .collect();
-        let windows_by_shard: Vec<Vec<Vec<(td_table::ColumnRef, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_fuzzy_columns_batch(&reqs))
-            .collect();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(qi, &(_, _, k))| {
-                let window = merge::merge_fuzzy_columns(
-                    windows_by_shard.iter().map(|s| s[qi].clone()).collect(),
-                    column_fetch_width(k),
-                );
-                td_core::join::fuzzy::aggregate_tables(window, k)
-            })
-            .collect()
-    }
-
-    /// Batched [`Self::search_multi_joinable`].
-    #[must_use]
-    pub fn search_multi_joinable_batch(
-        &self,
-        queries: &[(&Table, &[usize], usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        let snaps = self.snapshots();
-        let replies_by_shard: Vec<Vec<Vec<(TableId, f64)>>> = snaps
-            .iter()
-            .map(|p| p.search_multi_joinable_batch(queries))
-            .collect();
-        (0..queries.len())
-            .map(|qi| {
-                merge::merge_scores(
-                    replies_by_shard.iter().map(|s| s[qi].clone()).collect(),
-                    queries[qi].2,
-                )
-            })
-            .collect()
-    }
-
-    /// Batched [`Self::search_correlated`].
-    #[must_use]
-    pub fn search_correlated_batch(
-        &self,
-        queries: &[(&Column, &Column, usize)],
-    ) -> Vec<Vec<CorrelatedHit>> {
-        let snaps = self.snapshots();
-        let replies_by_shard: Vec<Vec<Vec<CorrelatedHit>>> = snaps
-            .iter()
-            .map(|p| p.search_correlated_batch(queries))
-            .collect();
-        (0..queries.len())
-            .map(|qi| {
-                merge::merge_correlated(
-                    replies_by_shard.iter().map(|s| s[qi].clone()).collect(),
-                    queries[qi].2,
-                )
-            })
-            .collect()
-    }
-
-    /// Per-query [`merge::merge_scores`] over `(query, k)` batches whose
-    /// per-shard replies are already in input order.
-    fn merge_scored_batch<Q>(
-        replies_by_shard: &[Vec<Vec<(TableId, f64)>>],
-        queries: &[(Q, usize)],
-    ) -> Vec<Vec<(TableId, f64)>> {
-        (0..queries.len())
-            .map(|qi| {
-                merge::merge_scores(
-                    replies_by_shard.iter().map(|s| s[qi].clone()).collect(),
-                    queries[qi].1,
-                )
-            })
-            .collect()
     }
 }
 

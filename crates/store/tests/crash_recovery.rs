@@ -97,8 +97,11 @@ fn torn_wal_tail_recovers_prefix() {
         fresh.ingest_table(*id, t);
     }
     assert_eq!(
-        format!("{:?}", dp.pipeline().search_keyword("dataset", 8)),
-        format!("{:?}", fresh.search_keyword("dataset", 8)),
+        format!(
+            "{:?}",
+            dp.pipeline().snapshot().search_keyword("dataset", 8)
+        ),
+        format!("{:?}", fresh.snapshot().search_keyword("dataset", 8)),
     );
 
     // The truncated log keeps accepting appends and survives another trip.
@@ -124,7 +127,10 @@ fn corrupt_snapshot_falls_back_to_older_one() {
         dp.ingest_table(*id, t).expect("ingest");
     }
     dp.checkpoint().expect("checkpoint 1");
-    let at_cp1 = format!("{:?}", dp.pipeline().search_keyword("dataset", 8));
+    let at_cp1 = format!(
+        "{:?}",
+        dp.pipeline().snapshot().search_keyword("dataset", 8)
+    );
     for (id, t) in &tables[4..6] {
         dp.ingest_table(*id, t).expect("ingest");
     }
@@ -139,7 +145,10 @@ fn corrupt_snapshot_falls_back_to_older_one() {
     assert_eq!(stats.snapshot_seq, Some(1), "older snapshot won");
     assert_eq!(dp.pipeline().len(), 4);
     assert_eq!(
-        format!("{:?}", dp.pipeline().search_keyword("dataset", 8)),
+        format!(
+            "{:?}",
+            dp.pipeline().snapshot().search_keyword("dataset", 8)
+        ),
         at_cp1,
         "fallback state is exactly checkpoint 1"
     );
