@@ -10,10 +10,10 @@
 //! single sub-reply: whatever the batch size, each query's answer must
 //! equal the direct in-process `execute` on the oracle pipeline.
 //!
-//! Batching buys throughput two ways: the batched probe sweeps in
-//! `td-core`/`td-index` run the per-query work on scoped threads (which
-//! needs cores), and a 16-query batch pays the framing/queueing/cache
-//! round-trip once instead of 16 times (which doesn't). Like
+//! Batching buys throughput two ways: `td_core::run_batch` runs the
+//! batch's singles on scoped threads (which needs cores), and a 16-query
+//! batch pays the framing/queueing/cache round-trip once instead of 16
+//! times (which doesn't). Like
 //! `shard_report`, the ≥1.5× speedup assertion is armed only on ≥4-core
 //! machines; on fewer cores the sweep still runs and records what
 //! amortization alone buys.
@@ -31,7 +31,7 @@ use td::core::{DiscoveryPipeline, PipelineConfig};
 use td::serve::{execute, Client, Reply, Request, RequestEnvelope, Server, ServerConfig, Status};
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::{Table, TableId};
-use td_bench::{ms, print_table, time, BenchReport, Timer};
+use td_bench::{ms, parse_flags, print_table, time, BenchReport, Timer};
 
 struct Args {
     seed: u64,
@@ -49,20 +49,13 @@ fn parse_args() -> Args {
         k: 10,
         workers: 2,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            "--queries" => args.queries = val.parse().unwrap_or(args.queries),
-            "--k" => args.k = val.parse().unwrap_or(args.k),
-            "--workers" => args.workers = val.parse().unwrap_or(args.workers),
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [
+        ("--seed", &mut args.seed),
+        ("--tables", &mut args.tables),
+        ("--queries", &mut args.queries),
+        ("--k", &mut args.k),
+        ("--workers", &mut args.workers),
+    ]);
     args
 }
 
@@ -349,8 +342,8 @@ fn main() {
         );
     } else {
         println!(
-            "note: only {cores} core(s) available — the batched probe sweeps \
-             cannot run queries in parallel, so the >= 1.5x speedup assertion \
+            "note: only {cores} core(s) available — `run_batch` cannot \
+             run queries in parallel, so the >= 1.5x speedup assertion \
              is skipped and the sweep measures round-trip amortization instead"
         );
     }

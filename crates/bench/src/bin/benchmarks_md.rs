@@ -369,18 +369,9 @@ fn headline(name: &str, report: &Value) -> String {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
     let mut benches_dir = "benches".to_string();
     let mut out_path = "BENCHMARKS.md".to_string();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        match argv[i].as_str() {
-            "--benches" => benches_dir = argv[i + 1].clone(),
-            "--out" => out_path = argv[i + 1].clone(),
-            _ => {}
-        }
-        i += 2;
-    }
+    td_bench::parse_flags(&mut [("--benches", &mut benches_dir), ("--out", &mut out_path)]);
 
     let mut snapshots: Vec<(String, Value)> = Vec::new();
     let entries = std::fs::read_dir(&benches_dir).expect("read benches dir");

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use td::core::{DiscoveryPipeline, PipelineConfig, PipelineContext, SegmentedPipeline};
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::{Table, TableId};
-use td_bench::{ms, print_table, time, BenchReport};
+use td_bench::{ms, parse_flags, print_table, time, BenchReport};
 
 struct Args {
     seed: u64,
@@ -35,17 +35,7 @@ fn parse_args() -> Args {
         seed: 42,
         tables: 48,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [("--seed", &mut args.seed), ("--tables", &mut args.tables)]);
     args
 }
 

@@ -22,7 +22,7 @@ use td::core::{DiscoveryPipeline, PipelineConfig};
 use td::serve::{Client, Server, ServerConfig, Status, Workload, WorkloadConfig};
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::DataLake;
-use td_bench::{ms, print_table, time, BenchReport, Timer};
+use td_bench::{ms, parse_flags, print_table, time, BenchReport, Timer};
 
 struct Args {
     seed: u64,
@@ -44,22 +44,15 @@ fn parse_args() -> Args {
         queue: 64,
         pool: 24,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            "--clients" => args.clients = val.parse().unwrap_or(args.clients),
-            "--workers" => args.workers = val.parse().unwrap_or(args.workers),
-            "--requests" => args.requests = val.parse().unwrap_or(args.requests),
-            "--queue" => args.queue = val.parse().unwrap_or(args.queue),
-            "--pool" => args.pool = val.parse().unwrap_or(args.pool),
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [
+        ("--seed", &mut args.seed),
+        ("--tables", &mut args.tables),
+        ("--clients", &mut args.clients),
+        ("--workers", &mut args.workers),
+        ("--requests", &mut args.requests),
+        ("--queue", &mut args.queue),
+        ("--pool", &mut args.pool),
+    ]);
     args
 }
 

@@ -25,7 +25,7 @@ use td::core::{DiscoveryPipeline, PipelineConfig};
 use td::serve::{execute, Reply, Request, RequestEnvelope, ServerConfig, ShardFleet, Status};
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::{Table, TableId};
-use td_bench::{ms, print_table, time, BenchReport, Timer};
+use td_bench::{ms, parse_flags, print_table, quantile, time, BenchReport, Timer};
 
 struct Args {
     seed: u64,
@@ -43,20 +43,13 @@ fn parse_args() -> Args {
         k: 10,
         workers: 2,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            "--queries" => args.queries = val.parse().unwrap_or(args.queries),
-            "--k" => args.k = val.parse().unwrap_or(args.k),
-            "--workers" => args.workers = val.parse().unwrap_or(args.workers),
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [
+        ("--seed", &mut args.seed),
+        ("--tables", &mut args.tables),
+        ("--queries", &mut args.queries),
+        ("--k", &mut args.k),
+        ("--workers", &mut args.workers),
+    ]);
     args
 }
 
@@ -119,14 +112,6 @@ struct SweepPoint {
     throughput_rps: f64,
     p50_ms: f64,
     p95_ms: f64,
-}
-
-fn quantile_ms(sorted_ns: &[u128], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1e6
 }
 
 fn main() {
@@ -221,8 +206,8 @@ fn main() {
             } else {
                 0.0
             },
-            p50_ms: quantile_ms(&lat_ns, 0.50),
-            p95_ms: quantile_ms(&lat_ns, 0.95),
+            p50_ms: quantile(&lat_ns, 0.50) as f64 / 1e6,
+            p95_ms: quantile(&lat_ns, 0.95) as f64 / 1e6,
         });
     }
 

@@ -31,7 +31,7 @@ use td::core::{DiscoveryPipeline, PipelineConfig, PipelineContext, TableArtifact
 use td::store::{DurablePipeline, Store, Wal, WalRecord};
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::{Table, TableId};
-use td_bench::{ms, print_table, time, BenchReport};
+use td_bench::{ms, parse_flags, print_table, time, BenchReport};
 
 struct Args {
     seed: u64,
@@ -47,21 +47,12 @@ fn parse_args() -> Args {
         wal_records: 5000,
         replay_budget_ms: 250.0,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            "--wal-records" => args.wal_records = val.parse().unwrap_or(args.wal_records),
-            "--replay-budget-ms" => {
-                args.replay_budget_ms = val.parse().unwrap_or(args.replay_budget_ms);
-            }
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [
+        ("--seed", &mut args.seed),
+        ("--tables", &mut args.tables),
+        ("--wal-records", &mut args.wal_records),
+        ("--replay-budget-ms", &mut args.replay_budget_ms),
+    ]);
     args
 }
 

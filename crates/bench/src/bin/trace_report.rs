@@ -30,7 +30,7 @@ use td::serve::{
 };
 use td::table::gen::lakegen::{LakeGenConfig, LakeGenerator};
 use td::table::DataLake;
-use td_bench::{ms, print_table, time, BenchReport, Timer};
+use td_bench::{ms, parse_flags, print_table, quantile, time, BenchReport, Timer};
 
 struct Args {
     seed: u64,
@@ -48,30 +48,15 @@ fn parse_args() -> Args {
         rounds: 3,
         pool: 16,
     };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i + 1 < argv.len() {
-        let val = &argv[i + 1];
-        match argv[i].as_str() {
-            "--seed" => args.seed = val.parse().unwrap_or(args.seed),
-            "--tables" => args.tables = val.parse().unwrap_or(args.tables),
-            "--requests" => args.requests = val.parse().unwrap_or(args.requests),
-            "--rounds" => args.rounds = val.parse().unwrap_or(args.rounds),
-            "--pool" => args.pool = val.parse().unwrap_or(args.pool),
-            _ => {}
-        }
-        i += 2;
-    }
+    parse_flags(&mut [
+        ("--seed", &mut args.seed),
+        ("--tables", &mut args.tables),
+        ("--requests", &mut args.requests),
+        ("--rounds", &mut args.rounds),
+        ("--pool", &mut args.pool),
+    ]);
     args.rounds = args.rounds.max(1);
     args
-}
-
-fn quantile(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx.min(sorted_ns.len() - 1)] as f64
 }
 
 /// One measurement round: a fresh server (so both modes start with a
@@ -115,7 +100,10 @@ fn run_round(
     }
     server.shutdown();
     lat_ns.sort_unstable();
-    (quantile(&lat_ns, 0.50), quantile(&lat_ns, 0.95))
+    (
+        quantile(&lat_ns, 0.50) as f64,
+        quantile(&lat_ns, 0.95) as f64,
+    )
 }
 
 /// One determinism run: logical-clock tracing, threshold 0, sequential

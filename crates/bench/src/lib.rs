@@ -1,7 +1,9 @@
 //! Harness support for the experiment binaries: aligned-table printing,
-//! timing (re-exported from `td-obs`), JSONL result records, and the
+//! timing (re-exported from `td-obs`), JSONL result records, the
 //! [`BenchReport`] emitter that writes machine-readable `BENCH_<exp>.json`
-//! telemetry alongside each experiment's stdout table.
+//! telemetry alongside each experiment's stdout table, the report
+//! binaries' `--flag value` parser ([`parse_flags`]), and the
+//! nearest-rank [`quantile`] of a sorted sample.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -9,6 +11,7 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 pub use td_obs::{time, ScopedTimer, Timer};
@@ -50,6 +53,67 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 #[must_use]
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
+}
+
+/// A command-line flag's destination: parsing its value overwrites the
+/// default already stored there.
+pub trait FlagValue {
+    /// Parse `raw` into `self`; `false` leaves `self` unchanged.
+    fn set(&mut self, raw: &str) -> bool;
+}
+
+impl<T: FromStr> FlagValue for T {
+    fn set(&mut self, raw: &str) -> bool {
+        raw.parse().map(|v| *self = v).is_ok()
+    }
+}
+
+/// Apply `--name value` pairs from `argv` (program name excluded) to
+/// `flags`, each a flag name and the field holding its default.
+///
+/// # Errors
+/// Names the offending argument: an unknown flag, a flag without a
+/// value, or a value that does not parse.
+pub fn parse_flags_from(
+    argv: &[String],
+    flags: &mut [(&str, &mut dyn FlagValue)],
+) -> Result<(), String> {
+    let mut args = argv.iter();
+    while let Some(name) = args.next() {
+        let Some((_, slot)) = flags.iter_mut().find(|(n, _)| n == name) else {
+            return Err(format!("unknown flag '{name}'"));
+        };
+        let Some(raw) = args.next() else {
+            return Err(format!("flag '{name}' needs a value"));
+        };
+        if !slot.set(raw) {
+            return Err(format!("bad value '{raw}' for flag '{name}'"));
+        }
+    }
+    Ok(())
+}
+
+/// [`parse_flags_from`] over the process arguments; on a bad argument,
+/// print the error and the accepted flags to stderr and exit with code 2.
+pub fn parse_flags(flags: &mut [(&str, &mut dyn FlagValue)]) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = parse_flags_from(&argv, flags) {
+        let names: Vec<&str> = flags.iter().map(|(n, _)| *n).collect();
+        // td-lint: allow(TD004) a command-line error goes to the binary's stderr
+        eprintln!("error: {e}\nflags: {}", names.join(" "));
+        std::process::exit(2);
+    }
+}
+
+/// The `q`-quantile of an ascending sample: the element at rank
+/// `round((len - 1) * q)`, or `T::default()` for an empty sample.
+#[must_use]
+pub fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Append a JSON result record to `target/experiments.jsonl` (best-effort;
@@ -194,6 +258,57 @@ mod tests {
         let (v, d) = time(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(d.as_nanos() < u128::from(u64::MAX));
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    #[test]
+    fn flags_overwrite_defaults_and_keep_the_rest() {
+        let (mut tables, mut budget, mut out) =
+            (10_000usize, 250.0f64, "BENCHMARKS.md".to_string());
+        parse_flags_from(
+            &argv(&["--tables", "32", "--out", "target/B.md"]),
+            &mut [
+                ("--tables", &mut tables),
+                ("--budget", &mut budget),
+                ("--out", &mut out),
+            ],
+        )
+        .expect("valid flags");
+        assert_eq!((tables, budget, out.as_str()), (32, 250.0, "target/B.md"));
+        parse_flags_from(&[], &mut [("--tables", &mut tables)]).expect("no flags");
+        assert_eq!(tables, 32);
+    }
+
+    #[test]
+    fn bad_flags_are_named_not_ignored() {
+        let mut tables = 10_000usize;
+        let mut run = |args: &[&str]| {
+            parse_flags_from(&argv(args), &mut [("--tables", &mut tables)]).unwrap_err()
+        };
+        assert_eq!(run(&["--tabels", "32"]), "unknown flag '--tabels'");
+        assert_eq!(
+            run(&["--tables", "3x"]),
+            "bad value '3x' for flag '--tables'"
+        );
+        assert_eq!(run(&["--tables"]), "flag '--tables' needs a value");
+        assert_eq!(run(&["32"]), "unknown flag '32'");
+        assert_eq!(tables, 10_000, "a bad value leaves the default");
+    }
+
+    #[test]
+    fn quantile_takes_the_nearest_rank() {
+        let sample: Vec<u64> = (1..=10).collect();
+        assert_eq!(quantile(&sample, 0.0), 1);
+        // (10 - 1) * 0.5 = 4.5 rounds to rank 5.
+        assert_eq!(quantile(&sample, 0.50), 6);
+        // (10 - 1) * 0.95 = 8.55 rounds to rank 9.
+        assert_eq!(quantile(&sample, 0.95), 10);
+        assert_eq!(quantile(&sample, 1.0), 10);
+        assert_eq!(quantile(&[7u128], 0.5), 7);
+        assert_eq!(quantile::<u128>(&[], 0.5), 0);
     }
 
     #[test]

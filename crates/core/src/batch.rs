@@ -11,8 +11,7 @@
 //!
 //! A batch is a map of singles: there are no per-family batch methods.
 //! Callers map a family's single-query entry point over the batch — as
-//! td-serve does for a `Request::Batch` frame and for a worker's
-//! coalesced singles.
+//! td-serve does for a `Request::Batch` frame.
 //!
 //! Determinism contract: every query is answered by the *same* per-query
 //! code path the sequential API uses, against the same immutable index

@@ -1,9 +1,8 @@
 //! `td_core::run_batch` over the pipeline's own single-query entry
-//! points — how td-serve answers a `Batch` frame and a worker's
-//! coalesced singles — returns rankings **byte-identical** to calling
-//! those singles one at a time in order, for all eight search families
-//! and the six shard-plane entry points, on both a one-shot pipeline and
-//! a segmented pipeline's snapshot.
+//! points — how td-serve answers a `Batch` frame — returns rankings
+//! **byte-identical** to calling those singles one at a time in order,
+//! for all eight search families and the six shard-plane entry points,
+//! on both a one-shot pipeline and a segmented pipeline's snapshot.
 //!
 //! `run_batch` farms queries out to scoped threads, so this suite is
 //! the proof that per-query probe state (epoch scratch, TopK heaps)

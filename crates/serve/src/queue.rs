@@ -99,29 +99,6 @@ impl<T> AdmissionQueue<T> {
         relock(self.inner.lock()).items.len()
     }
 
-    /// Remove and return up to `max` pending items matching `pred`,
-    /// preserving their relative order — the opportunistic-coalescing
-    /// hook: a worker that pops one query drains queued compatible
-    /// queries and answers them all in one batched execution. Never
-    /// blocks; non-matching items keep their positions.
-    pub fn drain_matching(&self, max: usize, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        if max == 0 {
-            return Vec::new();
-        }
-        let mut inner = relock(self.inner.lock());
-        let mut taken = Vec::new();
-        let mut kept = VecDeque::with_capacity(inner.items.len());
-        while let Some(item) = inner.items.pop_front() {
-            if taken.len() < max && pred(&item) {
-                taken.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        inner.items = kept;
-        taken
-    }
-
     /// Refuse new pushes and wake all blocked consumers; pending items
     /// still drain.
     pub fn close(&self) {
@@ -176,24 +153,6 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn drain_matching_takes_in_order_and_keeps_the_rest() {
-        let q = AdmissionQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
-            q.try_push(v).expect("push");
-        }
-        // Take at most two even items.
-        let taken = q.drain_matching(2, |v| v % 2 == 0);
-        assert_eq!(taken, vec![2, 4]);
-        // The rest keep FIFO order, including the un-taken even item.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(6));
-        assert_eq!(q.depth(), 0);
-        assert!(q.drain_matching(0, |_| true).is_empty());
     }
 
     #[test]

@@ -958,11 +958,6 @@ fn handle_frame(payload: &[u8], shared: &Arc<Shared>, out: &Arc<Mutex<TcpStream>
     }
 }
 
-/// Most queued compatible singles a worker may fold into one batched
-/// execution (counting the request it popped). Matches the sweet spot of
-/// the batched probe paths without starving other workers of queue work.
-const MAX_COALESCE: usize = 16;
-
 /// Answer a job whose deadline passed while it sat in the queue.
 fn expire_job(shared: &Arc<Shared>, worker_idx: u64, job: &Job) {
     shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
@@ -1013,81 +1008,18 @@ fn worker_loop(shared: &Arc<Shared>, worker_idx: u64) {
             expire_job(shared, worker_idx, &job);
             continue;
         }
-        // Opportunistic coalescing: a worker that pops a batchable single
-        // sweeps queued compatible singles (same family, same pipeline)
-        // and answers them all through one `run_batch` over the singles'
-        // own execution, so a coalesced client sees nothing but lower
-        // latency under load.
-        let extras = if job.req.is_batchable() {
-            shared.queue.drain_matching(MAX_COALESCE - 1, |j| {
-                j.endpoint == job.endpoint
-                    && j.req.is_batchable()
-                    && Arc::ptr_eq(&j.pipeline, &job.pipeline)
-            })
-        } else {
-            Vec::new()
-        };
-        if extras.is_empty() {
-            shared.metrics.inflight.inc();
-            let t = Timer::start();
-            let reply = {
-                // Attach the trace to this worker thread for the duration
-                // of the query: the pipeline's probe/rank instrumentation
-                // finds it through the thread-local and nests under
-                // `execute`.
-                let _attached = job.trace.as_ref().map(td_obs::trace::attach);
-                let _exec = job.trace.as_ref().map(|tr| tr.open("execute"));
-                Arc::new(execute(&job.pipeline, &job.req))
-            };
-            shared.metrics.inflight.dec_floored();
-            deliver(shared, worker_idx, job, reply, t.elapsed());
-            continue;
-        }
-        let mut batch = Vec::with_capacity(1 + extras.len());
-        // td-lint: allow(TD010) batch is a per-pop local holding at most MAX_COALESCE jobs
-        batch.push(job);
-        for mut extra in extras {
-            shared.metrics.queue_depth.dec_floored();
-            drop(extra.queue_span.take());
-            if extra.deadline_ms > 0 && extra.admitted.elapsed_ms() > extra.deadline_ms as f64 {
-                expire_job(shared, worker_idx, &extra);
-            } else {
-                // td-lint: allow(TD010) drain_matching already capped extras at MAX_COALESCE - 1
-                batch.push(extra);
-            }
-        }
-        td_obs::global()
-            .counter("serve.batch.coalesced")
-            .add((batch.len() - 1) as u64);
         shared.metrics.inflight.inc();
         let t = Timer::start();
-        let replies = {
-            // Only the primary job's trace attaches for the shared
-            // execution — a thread carries at most one trace, so the
-            // per-component probe spans of the batch's first chunk (which
-            // `run_batch` runs on this thread, the primary included) nest
-            // under the primary. The coalesced extras still record their
-            // own `execute` window plus a `probe.batched` marker so their
-            // trees stay well-formed, and every job gets its own finish
-            // below.
-            let _attached = batch[0].trace.as_ref().map(td_obs::trace::attach);
-            let _execs: Vec<_> = batch
-                .iter()
-                .filter_map(|j| j.trace.as_ref())
-                .map(|tr| tr.open("execute"))
-                .collect();
-            let _probes: Vec<_> = batch
-                .iter()
-                .skip(1)
-                .filter_map(|j| j.trace.as_ref())
-                .map(|tr| tr.open("probe.batched"))
-                .collect();
-            td_core::run_batch(&batch, |j| execute(&j.pipeline, &j.req))
+        let reply = {
+            // Attach the trace to this worker thread for the duration
+            // of the query: the pipeline's probe/rank instrumentation
+            // finds it through the thread-local and nests under
+            // `execute`.
+            let _attached = job.trace.as_ref().map(td_obs::trace::attach);
+            let _exec = job.trace.as_ref().map(|tr| tr.open("execute"));
+            Arc::new(execute(&job.pipeline, &job.req))
         };
         shared.metrics.inflight.dec_floored();
-        let elapsed = t.elapsed();
-        for (j, reply) in batch.into_iter().zip(replies) {
-            deliver(shared, worker_idx, j, Arc::new(reply), elapsed);
-        }
+        deliver(shared, worker_idx, job, reply, t.elapsed());
     }
 }

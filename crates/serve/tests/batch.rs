@@ -3,9 +3,8 @@
 //! * a `Request::Batch` frame answers with one sub-reply per sub-request,
 //!   each **byte-identical** to the single-request response — against a
 //!   single server and against the K-shard coordinator;
-//! * opportunistic coalescing (a worker folding queued compatible
-//!   singles into one batched execution) is invisible to clients except
-//!   as latency;
+//! * singles from concurrent clients queued behind one worker, each
+//!   executed on its own, answer byte-identically to `execute`;
 //! * malformed batch frames — empty, oversized, mixed-family, nested,
 //!   admin/control requests inside — fail with a clean `BadRequest` and
 //!   never panic or hang the server. The committed corpus under
@@ -340,10 +339,10 @@ fn seed_corpus_replays_to_clean_errors() {
 }
 
 /// Hammer a single-worker server from concurrent clients so the queue
-/// backs up and the worker's opportunistic coalescing actually fires:
-/// every reply must still be byte-identical to the direct oracle.
+/// backs up: every reply must still be byte-identical to the direct
+/// oracle.
 #[test]
-fn coalesced_singles_stay_byte_identical() {
+fn concurrent_singles_on_one_worker_stay_byte_identical() {
     let fx = fixture();
     let mut server = Server::start(
         Arc::clone(&fx.batch),
@@ -384,7 +383,7 @@ fn coalesced_singles_stay_byte_identical() {
             assert_eq!(
                 raw,
                 expected,
-                "coalesced single diverged on {}",
+                "queued single diverged on {}",
                 req.endpoint()
             );
         }

@@ -199,70 +199,59 @@ fn send_burst(server: &Server, reqs: &[Request]) {
     }
 }
 
-/// Coalescing keeps probe spans: one worker, busy with a large batch
-/// frame while a burst of same-family singles queues behind it, folds
-/// the burst into one batched execution. The primary of that execution
-/// (whose trace is attached to the worker) and the batch frame itself
-/// must record per-component `probe.*` spans, and each coalesced extra
-/// its `probe.batched` marker. Coalescing depends on the burst queueing
-/// before the blocker finishes, so an attempt in which the host
-/// descheduled the server long enough to prevent it is repeated.
+/// Every executed request records its own probes: one worker, busy with
+/// a large batch frame while a burst of same-family singles queues behind
+/// it, runs each queued request through its own `execute` with its own
+/// trace attached. So every tree that was not answered from the cache
+/// holds per-component `probe.*` spans, and none holds a placeholder
+/// marker standing in for probes recorded under another request.
 #[test]
-fn coalesced_executions_keep_their_probe_spans() {
+fn every_executed_request_records_its_own_probes() {
     let fx = fixture();
     let tables: Vec<_> = fx.lake.iter().map(|(_, t)| t.clone()).collect();
-    for attempt in 0..5 {
-        let mut server = start_server(ServerConfig {
-            workers: 1,
-            queue_capacity: 256,
-            trace: TraceConfig {
-                slow_threshold_ns: 0,
-                slow_capacity: 512,
-                ..TraceConfig::default()
-            },
-            ..ServerConfig::default()
-        });
-        let blocker = Request::Batch {
-            requests: (0..MAX_BATCH)
-                .map(|i| Request::Unionable {
-                    table: tables[i % tables.len()].clone(),
-                    k: 1 + i / tables.len(),
-                })
-                .collect(),
-        };
-        // Distinct `k`s: no single is answered from the cache.
-        let singles = (1..=12).map(|k| Request::Keyword {
-            query: "dataset".into(),
-            k,
-        });
-        let burst: Vec<Request> = std::iter::once(blocker).chain(singles).collect();
-        send_burst(&server, &burst);
+    let mut server = start_server(ServerConfig {
+        workers: 1,
+        queue_capacity: 256,
+        trace: TraceConfig {
+            slow_threshold_ns: 0,
+            slow_capacity: 512,
+            ..TraceConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let blocker = Request::Batch {
+        requests: (0..MAX_BATCH)
+            .map(|i| Request::Unionable {
+                table: tables[i % tables.len()].clone(),
+                k: 1 + i / tables.len(),
+            })
+            .collect(),
+    };
+    // Distinct `k`s: no single is answered from the cache.
+    let singles = (1..=12).map(|k| Request::Keyword {
+        query: "dataset".into(),
+        k,
+    });
+    let burst: Vec<Request> = std::iter::once(blocker).chain(singles).collect();
+    send_burst(&server, &burst);
 
-        let mut client = Client::connect(server.local_addr()).expect("connect admin");
-        let trees = slow_queries(&mut client, 1_000_000, 512);
-        server.shutdown();
-        assert_eq!(trees.len(), burst.len(), "every request is traced");
-        let mut coalesced = 0;
-        for tree in &trees {
-            assert!(!tree.cache_hit, "distinct requests cannot hit the cache");
-            let names = span_names(tree);
-            let batched = names.iter().any(|n| n == "probe.batched");
-            let probed = names
-                .iter()
-                .any(|n| n.starts_with("probe.") && n != "probe.batched");
-            coalesced += usize::from(batched);
-            assert!(
-                batched || probed,
-                "an executed request must record its probes: {} {names:?}",
-                tree.endpoint
-            );
-        }
-        if coalesced > 0 {
-            return;
-        }
-        eprintln!("attempt {attempt}: the burst did not coalesce; retrying");
+    let mut client = Client::connect(server.local_addr()).expect("connect admin");
+    let trees = slow_queries(&mut client, 1_000_000, 512);
+    server.shutdown();
+    assert_eq!(trees.len(), burst.len(), "every request is traced");
+    for tree in trees.iter().filter(|t| !t.cache_hit) {
+        let names = span_names(tree);
+        assert!(
+            names.iter().any(|n| n.starts_with("probe.")),
+            "an executed request must record its own probes: {} {names:?}",
+            tree.endpoint
+        );
+        assert!(
+            !names.iter().any(|n| n.contains("batched")),
+            "no request's probes may be recorded under another's trace: {} {names:?}",
+            tree.endpoint
+        );
     }
-    panic!("a burst queued behind a 64-query batch never coalesced in 5 attempts");
 }
 
 /// The determinism contract: two fresh servers with the same trace seed
